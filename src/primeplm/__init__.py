@@ -20,11 +20,9 @@ from .dataset import (
     write_csv,
 )
 from .kernel_impute import (
-    DonorSet,
     ImputationDiagnostics,
+    ImputationPlan,
     KernelConfig,
-    KernelImputer,
-    donor_set,
     draw_directions,
     impute_basis_row,
     impute_linear_value,
@@ -100,9 +98,9 @@ __all__ = [
     "SplineSpec", "BasisBlock", "make_spec", "eval_basis", "basis_matrix",
     "center_block",
     # kernel imputation
-    "KernelConfig", "DonorSet", "ImputationDiagnostics", "KernelImputer",
+    "KernelConfig", "ImputationDiagnostics", "ImputationPlan",
     "silverman_bandwidth", "product_kernel_weight", "projected_kernel_weight",
-    "draw_directions", "donor_set", "impute_linear_value", "impute_basis_row",
+    "draw_directions", "impute_linear_value", "impute_basis_row",
     # fitting
     "DesignMatrix", "FitDiagnostics", "PrimeFit", "assemble_design",
     "solve_least_squares", "fit_prime", "fit_cc", "fit_mean_impute",

@@ -278,7 +278,7 @@ def cmd_average(args) -> int:
         "tool_version": __version__,
         "data_file": str(args.data),
         "response": args.response,
-        "spline": {"degree": args.degree, "interior_knots": args.knots},
+        "spline": {"degree": spec.degree, "interior_knots": list(spec.interior_knots)},
         "kernel": {
             "bandwidth": args.bandwidth,
             "projection": args.projection,

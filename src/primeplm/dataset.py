@@ -140,66 +140,24 @@ class ObservationTable:
 
 @dataclass(frozen=True)
 class PatternIndex:
-    """Per-unit observed/missing index sets (positions into table columns).
+    """Rows grouped by observation pattern.
 
-    observed_all[i] is the sorted union of observed nonlinear and linear
-    positions; n_observed[i] is its size.  groups maps each distinct
-    observation pattern (mask row bytes) to the row indices sharing it.
+    groups maps each distinct mask row (its bytes) to the ascending row
+    indices sharing it, in order of first occurrence.
     """
 
-    observed_nonlinear: tuple[np.ndarray, ...]
-    missing_nonlinear: tuple[np.ndarray, ...]
-    observed_linear: tuple[np.ndarray, ...]
-    missing_linear: tuple[np.ndarray, ...]
-    observed_all: tuple[np.ndarray, ...]
-    n_observed: np.ndarray
     groups: dict[bytes, np.ndarray] = field(repr=False)
 
     @property
     def n(self) -> int:
-        return len(self.observed_all)
-
-    def n_distinct_patterns(self, incomplete_only: bool = False) -> int:
-        if not incomplete_only:
-            return len(self.groups)
-        total = self.n_observed.max(initial=0)
-        count = 0
-        for rows in self.groups.values():
-            if self.n_observed[rows[0]] < total:
-                count += 1
-        return count
+        return sum(len(rows) for rows in self.groups.values())
 
 
 def build_pattern_index(table: ObservationTable) -> PatternIndex:
-    nl = table.nonlinear_pos
-    li = table.linear_pos
-    mask = table.mask
-    obs_nl, mis_nl, obs_li, mis_li, obs_all = [], [], [], [], []
-    for i in range(table.n):
-        row = mask[i]
-        a = nl[row[nl]]
-        abar = nl[~row[nl]]
-        b = li[row[li]]
-        bbar = li[~row[li]]
-        obs_nl.append(_frozen(a))
-        mis_nl.append(_frozen(abar))
-        obs_li.append(_frozen(b))
-        mis_li.append(_frozen(bbar))
-        obs_all.append(_frozen(np.sort(np.concatenate([a, b]))))
-    n_observed = np.array([len(c) for c in obs_all], dtype=int)
     groups: dict[bytes, list[int]] = {}
-    for i in range(table.n):
-        groups.setdefault(mask[i].tobytes(), []).append(i)
-    frozen_groups = {k: _frozen(np.array(v, dtype=int)) for k, v in groups.items()}
-    return PatternIndex(
-        observed_nonlinear=tuple(obs_nl),
-        missing_nonlinear=tuple(mis_nl),
-        observed_linear=tuple(obs_li),
-        missing_linear=tuple(mis_li),
-        observed_all=tuple(obs_all),
-        n_observed=_frozen(n_observed),
-        groups=frozen_groups,
-    )
+    for i, row in enumerate(table.mask):
+        groups.setdefault(row.tobytes(), []).append(i)
+    return PatternIndex({k: _frozen(np.array(v, dtype=int)) for k, v in groups.items()})
 
 
 def complete_case_subset(table: ObservationTable) -> np.ndarray:

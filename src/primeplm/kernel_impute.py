@@ -1,12 +1,17 @@
 """Nadaraya-Watson imputation of missing covariates from partial donors.
 
-A unit i that observes covariate set C_i borrows, for each missing column
-j, the set of donors observing C_i and j.  Donor weights come from a
-product Gaussian kernel over the conditioning coordinates (or from
-projective resampling onto random directions when |C_i| is large), and
-the missing value is the weighted donor average.  Spline-basis rows are
-imputed with the same weight vector for every basis component, so an
-imputed row still sums to one.
+A unit observing covariate set C borrows, for each missing column j, from
+the donors that observe C and j, weighted by a product Gaussian kernel over
+C (or, when C is large, by projective resampling onto random directions).
+Spline-basis rows are imputed with the same weights for every basis
+component, so an imputed row still sums to one.
+
+Donors depend only on the missing pattern and the column, so the work is
+planned per pattern: ``ImputationPlan`` centres and scales a pattern's
+coordinates once, computes each missing column's log-weights, targets x
+donors, as one matrix product, and applies the normalized weights to basis
+rows and linear values alike.  Targets are taken in chunks, so one block
+holds at most ``_BLOCK_ELEMENTS`` (2**18, 2 MB) log-weights at any n.
 """
 
 from __future__ import annotations
@@ -24,14 +29,12 @@ from .spline import SplineSpec, basis_matrix
 
 __all__ = [
     "KernelConfig",
-    "DonorSet",
     "ImputationDiagnostics",
-    "KernelImputer",
+    "ImputationPlan",
     "silverman_bandwidth",
     "product_kernel_weight",
     "projected_kernel_weight",
     "draw_directions",
-    "donor_set",
     "impute_linear_value",
     "impute_basis_row",
 ]
@@ -39,6 +42,11 @@ __all__ = [
 _LOG_2PI = math.log(2.0 * math.pi)
 _UNDERFLOW_LOG = -700.0
 _DIRECTION_TAG = 0x5EEDD12C  # domain separator for per-pattern direction seeds
+_BLOCK_ELEMENTS = 1 << 18  # log-weights (targets x donor rows) held by one block
+# Above this squared coordinate norm the product form u_t.u_d - |u_t|^2/2 -
+# |u_d|^2/2 would lose more than ~1e-11 to cancellation (tiny fixed
+# bandwidths); such patterns sum squared differences column by column.
+_MAX_PRODUCT_SQNORM = float(1 << 16)
 
 
 @dataclass(frozen=True)
@@ -79,15 +87,6 @@ class KernelConfig:
             raise InvalidConfig("projection_threshold must be >= 0")
 
 
-@dataclass(frozen=True)
-class DonorSet:
-    """Donor row indices for imputing column ``column`` of unit ``target``."""
-
-    target: int
-    column: int
-    donors: np.ndarray
-
-
 @dataclass
 class ImputationDiagnostics:
     """Counts of fallback events, keyed by column name."""
@@ -101,19 +100,22 @@ class ImputationDiagnostics:
         return sum(self.no_donor_fallbacks.values()) + sum(self.underflow_fallbacks.values())
 
 
-def _silverman_core(values: np.ndarray, n: int) -> tuple[float, bool]:
-    values = np.asarray(values, dtype=float)
-    sd = values.std(ddof=1) if values.size >= 2 else 0.0
+def _silverman_core(sd: float, n: int) -> tuple[float, bool]:
     if not np.isfinite(sd) or sd <= 0.0:
         return 1.06 * n ** (-0.2), True
     return 1.06 * float(sd) * n ** (-0.2), False
+
+
+def _sample_sd(values: np.ndarray) -> float:
+    values = np.asarray(values, dtype=float)
+    return float(values.std(ddof=1)) if values.size >= 2 else 0.0
 
 
 def silverman_bandwidth(values: np.ndarray, n: int) -> float:
     """1.06 * sample SD * n**(-1/5); degenerate samples fall back to 1.06 * n**(-1/5)."""
     if n < 1:
         raise InvalidConfig("sample size for the bandwidth rate must be >= 1")
-    h, degenerate = _silverman_core(values, n)
+    h, degenerate = _silverman_core(_sample_sd(values), n)
     if degenerate:
         warnings.warn(
             "zero-variance bandwidth sample, falling back to 1.06 * n**-0.2",
@@ -127,26 +129,13 @@ def _log_gauss(u: np.ndarray) -> np.ndarray:
     return -0.5 * u * u - 0.5 * _LOG_2PI
 
 
-def _log_product_weight(diff: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """log of prod_j K(diff_j / h_j) / h_j, summed over the last axis."""
-    diff = np.asarray(diff, dtype=float)
-    h = np.asarray(h, dtype=float)
-    return (_log_gauss(diff / h) - np.log(h)).sum(axis=-1)
-
-
 def product_kernel_weight(diff: np.ndarray, h: np.ndarray) -> float:
     """Product Gaussian kernel weight for one donor difference vector."""
     diff = np.asarray(diff, dtype=float)
     h = np.asarray(h, dtype=float)
     if diff.shape != h.shape:
         raise InvalidConfig(f"diff and h shapes differ: {diff.shape} vs {h.shape}")
-    return float(np.exp(_log_product_weight(diff, h)))
-
-
-def _log_projected_weight(diff: np.ndarray, directions: np.ndarray, h: float) -> np.ndarray:
-    """log geometric mean over directions of K(v.diff / h) / h."""
-    proj = np.asarray(diff, dtype=float) @ np.asarray(directions, dtype=float).T
-    return (_log_gauss(proj / h) - math.log(h)).mean(axis=-1)
+    return float(np.exp((_log_gauss(diff / h) - np.log(h)).sum()))
 
 
 def projected_kernel_weight(diff: np.ndarray, directions: np.ndarray, h: float) -> float:
@@ -158,7 +147,7 @@ def projected_kernel_weight(diff: np.ndarray, directions: np.ndarray, h: float) 
         )
     if h <= 0:
         raise InvalidConfig("projection bandwidth must be positive")
-    return float(np.exp(_log_projected_weight(diff, directions, h)))
+    return float(np.exp((_log_gauss(diff @ directions.T / h) - math.log(h)).mean()))
 
 
 def draw_directions(m: int, n_projections: int, dist: str, seed) -> np.ndarray:
@@ -174,23 +163,74 @@ def draw_directions(m: int, n_projections: int, dist: str, seed) -> np.ndarray:
     raise InvalidConfig(f"unknown direction distribution {dist!r}")
 
 
-def donor_set(table: ObservationTable, pattern: PatternIndex, i: int, j: int) -> DonorSet:
-    """Rows observing everything unit i observes, plus column j.
+def _projected_sd(proj: np.ndarray, targets: np.ndarray) -> float:
+    """Sample SD (ddof=1) of the pooled projected differences p_e - p_t over
+    every target t, every other row e and every direction, from per-direction
+    first and second moments; 0 when the pooled sample is degenerate.
 
-    The target is excluded automatically because it does not observe j.
+    ``proj`` is (directions, rows observing the pattern's columns);
+    ``targets`` indexes the pattern's own rows among them.
     """
-    if table.mask[i, j]:
-        raise InvalidConfig(f"column {j} is observed for unit {i}; nothing to impute")
-    cond = pattern.observed_all[i]
-    eligible = table.mask[:, j] & table.mask[:, cond].all(axis=1)
-    return DonorSet(target=i, column=j, donors=np.flatnonzero(eligible))
+    e, t = proj.shape[1], targets.size
+    pairs = proj.shape[0] * t * (e - 1)  # the self-pair e == t is excluded
+    if pairs < 2 or not np.ptp(proj, axis=1).any():
+        return 0.0
+    if t == 1:
+        # moments would cancel when every other row projects alike; the
+        # pooled sample is only e - 1 values per direction, so take it whole
+        return _sample_sd(np.delete(proj, targets, axis=1) - proj[:, targets])
+    c = proj - proj.mean(axis=1, keepdims=True)  # differences are shift-invariant
+    ct = c[:, targets]
+    sum_e, sum_t = c.sum(axis=1), ct.sum(axis=1)
+    s1 = float((t * sum_e - e * sum_t).sum())
+    s2 = float((t * (c * c).sum(axis=1) - 2.0 * sum_t * sum_e + e * (ct * ct).sum(axis=1)).sum())
+    var = (s2 - s1 * s1 / pairs) / (pairs - 1)
+    return math.sqrt(var) if var > 0.0 else 0.0
 
 
-class KernelImputer:
-    """Shared caches (bandwidths, donors, directions) for one table.
+@dataclass(frozen=True)
+class _Pattern:
+    cond: np.ndarray  # columns the pattern observes
+    missing: np.ndarray  # columns it misses
+    targets: np.ndarray  # rows with this pattern
+    rows: np.ndarray  # rows observing every column of cond, targets included
 
-    The free functions impute_linear_value / impute_basis_row build a
-    throwaway instance; fitting code keeps one alive across all cells.
+
+@dataclass(frozen=True)
+class _Kernel:
+    """Log-weights of one pattern, const - |u_t - u_d|^2 / 2 for target t and
+    donor d, u being the centred, bandwidth-scaled coordinates of its rows.
+
+    While every |u|^2 stays within _MAX_PRODUCT_SQNORM this is one product
+    [u_t, 1].[u_d, -|u_d|^2 / 2] plus the offset const - |u_t|^2 / 2;
+    otherwise squared differences are summed and the offset is const.
+    """
+
+    left: np.ndarray  # (rows, coordinates): target side
+    right: np.ndarray  # (coordinates, rows): donor side
+    offset: np.ndarray  # per row
+    product: bool
+
+    def block(self, t: np.ndarray, side: np.ndarray) -> np.ndarray:
+        """Log-weights minus offsets of targets t against the donor columns
+        ``side`` of ``right``.  Each target row is its own product, so
+        chunking never changes a value."""
+        ut = self.left[t]
+        if self.product:
+            return np.matmul(ut[:, None, :], side)[:, 0, :]
+        block = np.zeros((t.size, side.shape[1]))
+        for c in range(len(side)):
+            d = ut[:, c, None] - side[c]
+            block -= 0.5 * d * d
+        return block
+
+
+class ImputationPlan:
+    """Donor weights of one table, planned per incomplete missing pattern.
+
+    ``impute`` fills the missing rows of caller-supplied arrays, basis blocks
+    and linear columns alike; ``cell_weights`` gives one cell's donors and
+    normalized weights.
     """
 
     def __init__(
@@ -198,7 +238,6 @@ class KernelImputer:
         table: ObservationTable,
         pattern: PatternIndex,
         config: KernelConfig,
-        spec: SplineSpec | None = None,
         diagnostics: ImputationDiagnostics | None = None,
     ):
         if config.bandwidth == "fixed" and len(config.fixed_h) != len(table.columns):
@@ -206,161 +245,158 @@ class KernelImputer:
                 f"fixed_h needs {len(table.columns)} entries, got {len(config.fixed_h)}"
             )
         self.table = table
-        self.pattern = pattern
         self.config = config
-        self.spec = spec
         self.diagnostics = diagnostics if diagnostics is not None else ImputationDiagnostics()
+        # column-major copies: a pattern's rows are gathered from contiguous runs
+        self._xt = np.ascontiguousarray(table.x.T)
+        self._observed = np.ascontiguousarray(table.mask.T)
         self._column_h: dict[int, float] = {}
-        self._column_mean: dict[int, float] = {}
-        self._donors: dict[tuple[bytes, int], np.ndarray] = {}
-        self._directions: dict[bytes, np.ndarray] = {}
-        self._projected_h: dict[bytes, float] = {}
-        self._observed_basis: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._projected_h: dict[int, float] = {}  # by id of the _Pattern
+        self._patterns: dict[bytes, _Pattern] = {}
+        for key, targets in pattern.groups.items():
+            observed = table.mask[targets[0]]
+            if not observed.all():
+                cond = np.flatnonzero(observed)
+                rows = np.flatnonzero(np.logical_and.reduce(self._observed[cond], axis=0))
+                self._patterns[key] = _Pattern(cond, np.flatnonzero(~observed), targets, rows)
 
-    # -- cached pieces -------------------------------------------------------
+    def _degenerate(self, label: str, what: str) -> None:
+        self.diagnostics.degenerate_bandwidths[label] += 1
+        warnings.warn(
+            f"{what}, falling back to 1.06 * n**-0.2", DegenerateSampleWarning, stacklevel=6
+        )
 
-    def column_bandwidth(self, pos: int) -> float:
+    def _bandwidth(self, pos: int) -> float:
         if pos not in self._column_h:
             if self.config.bandwidth == "fixed":
                 self._column_h[pos] = self.config.fixed_h[pos]
             else:
-                observed = self.table.x[self.table.mask[:, pos], pos]
-                h, degenerate = _silverman_core(observed, self.table.n)
+                sd = _sample_sd(self._xt[pos, self._observed[pos]])
+                self._column_h[pos], degenerate = _silverman_core(sd, self.table.n)
                 if degenerate:
-                    self.diagnostics.degenerate_bandwidths[self.table.columns[pos]] += 1
-                    warnings.warn(
-                        f"zero-variance bandwidth sample for column "
-                        f"{self.table.columns[pos]!r}, falling back to 1.06 * n**-0.2",
-                        DegenerateSampleWarning,
-                        stacklevel=3,
-                    )
-                self._column_h[pos] = h
+                    name = self.table.columns[pos]
+                    self._degenerate(name, f"zero-variance bandwidth sample for column {name!r}")
         return self._column_h[pos]
 
-    def _column_observed_mean(self, pos: int) -> float:
-        if pos not in self._column_mean:
-            observed = self.table.x[self.table.mask[:, pos], pos]
-            if observed.size == 0:
-                raise DegenerateColumn(
-                    f"column {self.table.columns[pos]!r} is never observed; no fallback value"
-                )
-            self._column_mean[pos] = float(observed.mean())
-        return self._column_mean[pos]
+    def _pattern_projected_h(self, pp: _Pattern, proj: np.ndarray) -> float:
+        """Silverman on the pooled projected target-row differences, n = table rows."""
+        if id(pp) not in self._projected_h:
+            sd = _projected_sd(proj, np.searchsorted(pp.rows, pp.targets))
+            h, degenerate = _silverman_core(sd, self.table.n)
+            if degenerate:
+                label = "pattern:" + ",".join(self.table.columns[c] for c in pp.cond)
+                self._degenerate(label, f"degenerate projected-difference sample for {label}")
+            self._projected_h[id(pp)] = h
+        return self._projected_h[id(pp)]
 
-    def _donor_rows(self, i: int, j: int) -> np.ndarray:
-        key = (self.table.mask[i].tobytes(), j)
-        if key not in self._donors:
-            self._donors[key] = donor_set(self.table, self.pattern, i, j).donors
-        return self._donors[key]
-
-    def _pattern_directions(self, cond: np.ndarray) -> np.ndarray:
-        key = cond.tobytes()
-        if key not in self._directions:
-            m = len(cond)
-            if self.config.n_projections >= m:
+    def _kernel(self, pp: _Pattern) -> _Kernel:
+        config, m = self.config, len(pp.cond)
+        z = self._xt[np.ix_(pp.cond, pp.rows)]
+        if config.projection == "resampled" and m > config.projection_threshold:
+            if config.n_projections >= m:
                 raise InvalidConfig(
                     f"n_projections must stay below the conditioning size "
-                    f"({self.config.n_projections} >= {m})"
+                    f"({config.n_projections} >= {m})"
                 )
-            seed = np.random.SeedSequence(
-                [self.config.seed, _DIRECTION_TAG, *np.sort(cond).tolist()]
-            )
-            self._directions[key] = draw_directions(
-                m, self.config.n_projections, self.config.projection_dist, seed
-            )
-        return self._directions[key]
+            seed = np.random.SeedSequence([config.seed, _DIRECTION_TAG, *pp.cond.tolist()])
+            v = draw_directions(m, config.n_projections, config.projection_dist, seed)
+            # summed column by column, so equal rows project to equal values
+            z = (v[:, :, None] * z).sum(axis=1)
+            h = self._pattern_projected_h(pp, z)
+            const = -0.5 * _LOG_2PI - math.log(h)
+            # the geometric mean over the directions divides |.|^2 by their count
+            scale = np.full(len(v), h * math.sqrt(len(v)))
+        else:
+            scale = np.array([self._bandwidth(c) for c in pp.cond])
+            const = -float((0.5 * _LOG_2PI + np.log(scale)).sum())
+        u = (z - z.mean(axis=1, keepdims=True)) / scale[:, None]
+        half_sq = 0.5 * (u * u).sum(axis=0)
+        if half_sq.size and float(half_sq.max()) > 0.5 * _MAX_PRODUCT_SQNORM:
+            return _Kernel(u.T.copy(), u, np.full(half_sq.size, const), False)
+        left = np.vstack([u, np.ones_like(half_sq)]).T.copy()
+        return _Kernel(left, np.vstack([u, -half_sq]), const - half_sq, True)
 
-    def _pattern_projected_h(self, cond: np.ndarray) -> float:
-        """One bandwidth per (pattern, direction set): Silverman on the pooled
-        projections of pairwise donor-target differences, n = table rows."""
-        key = cond.tobytes()
-        if key not in self._projected_h:
-            directions = self._pattern_directions(cond)
-            x = self.table.x
-            eligible = np.flatnonzero(self.table.mask[:, cond].all(axis=1))
-            mask_row = np.zeros(len(self.table.columns), dtype=bool)
-            mask_row[cond] = True
-            targets = self.pattern.groups.get(mask_row.tobytes(), np.empty(0, dtype=int))
-            samples = []
-            for i in targets:
-                others = eligible[eligible != i]
-                if others.size == 0:
-                    continue
-                diffs = x[np.ix_(others, cond)] - x[i, cond]
-                samples.append((diffs @ directions.T).ravel())
-            pooled = np.concatenate(samples) if samples else np.empty(0)
-            h, degenerate = _silverman_core(pooled, self.table.n)
-            if degenerate:
-                label = "pattern:" + ",".join(self.table.columns[c] for c in cond)
-                self.diagnostics.degenerate_bandwidths[label] += 1
-                warnings.warn(
-                    f"degenerate projected-difference sample for {label}, "
-                    f"falling back to 1.06 * n**-0.2",
-                    DegenerateSampleWarning,
-                    stacklevel=3,
-                )
-            self._projected_h[key] = h
-        return self._projected_h[key]
+    def _weights(self, pp: _Pattern, targets: np.ndarray, columns):
+        """Yield (column, chunk, donors, w, kept) per column and chunk of
+        targets.  w holds exp(log-weight - row max) for the kept chunk rows,
+        unnormalized; a row whose largest log-weight is below -700 is not
+        kept, and w is None when the column has no donor."""
+        kernel = None
+        for j in columns:
+            d = np.flatnonzero(self._observed[j, pp.rows])
+            if d.size == 0:
+                yield j, targets, pp.rows[d], None, None
+                continue
+            if kernel is None:
+                kernel = self._kernel(pp)
+            side = kernel.right[:, d]
+            step = max(1, _BLOCK_ELEMENTS // d.size)
+            for start in range(0, targets.size, step):
+                chunk = targets[start : start + step]
+                t = np.searchsorted(pp.rows, chunk)
+                logw = kernel.block(t, side)
+                top = logw.max(axis=1)
+                kept = top + kernel.offset[t] >= _UNDERFLOW_LOG
+                if not kept.all():
+                    logw, top = logw[kept], top[kept]
+                logw -= top[:, None]
+                np.exp(logw, out=logw)
+                yield j, chunk, pp.rows[d], logw, kept
 
-    def _observed_basis_rows(self, pos: int) -> tuple[np.ndarray, np.ndarray]:
-        if pos not in self._observed_basis:
-            if self.spec is None:
-                raise InvalidConfig("basis imputation requires a spline spec")
-            rows = np.flatnonzero(self.table.mask[:, pos])
-            if rows.size == 0:
+    def cell_weights(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """Donor rows of cell (i, j) and their normalized weights; the weights
+        are None when the cell falls back to the column's observed mean."""
+        if self.table.mask[i, j]:
+            raise InvalidConfig(f"column {j} is observed for unit {i}; nothing to impute")
+        pp = self._patterns[self.table.mask[i].tobytes()]
+        _, _, donors, w, kept = next(self._weights(pp, np.array([i]), [j]))
+        if w is None or not kept[0]:
+            return donors, None
+        return donors, w[0] / w[0].sum()
+
+    def impute(self, values: dict[int, np.ndarray], target: int | None = None) -> None:
+        """Fill the missing rows of each ``values[j]`` in place.
+
+        ``values`` maps a column position to an (n, d) array whose rows are
+        set wherever column j is observed.  A missing row becomes the
+        kernel-weighted average of its donors' rows, or the mean of the
+        observed rows when there is no donor or every weight underflows.
+        With ``target`` set, only that unit's cells are filled.
+        """
+        mask = self.table.mask
+        patterns = self._patterns.values()
+        if target is not None:
+            if mask[target, list(values)].any():
+                raise InvalidConfig(f"unit {target} observes a column to impute")
+            patterns = [self._patterns[mask[target].tobytes()]]
+        columns = [j for j in values if not mask[:, j].all()]
+        for j in columns:
+            if not mask[:, j].any():
                 raise DegenerateColumn(
-                    f"column {self.table.columns[pos]!r} is never observed; no basis rows"
+                    f"column {self.table.columns[j]!r} is never observed; nothing to impute"
                 )
-            self._observed_basis[pos] = (rows, basis_matrix(self.spec, self.table.x[rows, pos]))
-        return self._observed_basis[pos]
-
-    # -- weights ---------------------------------------------------------------
-
-    def _log_weights(self, i: int, donors: np.ndarray) -> np.ndarray:
-        cond = self.pattern.observed_all[i]
-        diffs = self.table.x[np.ix_(donors, cond)] - self.table.x[i, cond]
-        use_projection = (
-            self.config.projection == "resampled" and len(cond) > self.config.projection_threshold
-        )
-        if use_projection:
-            directions = self._pattern_directions(cond)
-            h = self._pattern_projected_h(cond)
-            return _log_projected_weight(diffs, directions, h)
-        h = np.array([self.column_bandwidth(c) for c in cond])
-        return _log_product_weight(diffs, h)
-
-    # -- imputations -------------------------------------------------------------
-
-    def linear_value(self, i: int, j: int) -> float:
-        donors = self._donor_rows(i, j)
-        name = self.table.columns[j]
-        if donors.size == 0:
-            self.diagnostics.no_donor_fallbacks[name] += 1
-            return self._column_observed_mean(j)
-        logw = self._log_weights(i, donors)
-        if logw.max() < _UNDERFLOW_LOG:
-            self.diagnostics.underflow_fallbacks[name] += 1
-            return self._column_observed_mean(j)
-        w = np.exp(logw - logw.max())
-        w /= w.sum()
-        return float(w @ self.table.x[donors, j])
-
-    def basis_row(self, i: int, j: int) -> np.ndarray:
-        obs_rows, obs_basis = self._observed_basis_rows(j)
-        donors = self._donor_rows(i, j)
-        name = self.table.columns[j]
-        if donors.size == 0:
-            self.diagnostics.no_donor_fallbacks[name] += 1
-            return obs_basis.mean(axis=0)
-        logw = self._log_weights(i, donors)
-        if logw.max() < _UNDERFLOW_LOG:
-            self.diagnostics.underflow_fallbacks[name] += 1
-            return obs_basis.mean(axis=0)
-        w = np.exp(logw - logw.max())
-        w /= w.sum()
-        # donor basis rows were cached for all rows observing j
-        local = np.searchsorted(obs_rows, donors)
-        return w @ obs_basis[local]
+        fallback = {j: values[j][mask[:, j]].mean(axis=0) for j in columns}
+        no_donor, underflow = Counter(), Counter()
+        for pp in patterns:
+            targets = pp.targets if target is None else np.array([target])
+            todo = [j for j in pp.missing if j in fallback]
+            for j, chunk, donors, w, kept in self._weights(pp, targets, todo):
+                out = values[j]
+                if w is None:
+                    out[chunk] = fallback[j]
+                    no_donor[j] += chunk.size
+                    continue
+                # one product per target row, so chunking never changes a value
+                total = w.sum(axis=1)[:, None]
+                out[chunk[kept]] = np.matmul(w[:, None, :], out[donors])[:, 0, :] / total
+                out[chunk[~kept]] = fallback[j]
+                underflow[j] += chunk.size - w.shape[0]
+        for j in columns:  # counters keyed in column order
+            name = self.table.columns[j]
+            if no_donor[j]:
+                self.diagnostics.no_donor_fallbacks[name] += no_donor[j]
+            if underflow[j]:
+                self.diagnostics.underflow_fallbacks[name] += underflow[j]
 
 
 def impute_linear_value(
@@ -372,7 +408,9 @@ def impute_linear_value(
     diagnostics: ImputationDiagnostics | None = None,
 ) -> float:
     """NW estimate of the missing linear covariate j of unit i."""
-    return KernelImputer(table, pattern, config, diagnostics=diagnostics).linear_value(i, j)
+    column = np.array(table.x[:, j : j + 1])
+    ImputationPlan(table, pattern, config, diagnostics).impute({j: column}, target=i)
+    return float(column[i, 0])
 
 
 def impute_basis_row(
@@ -385,5 +423,8 @@ def impute_basis_row(
     diagnostics: ImputationDiagnostics | None = None,
 ) -> np.ndarray:
     """NW estimate of the spline-basis row for missing nonlinear covariate j."""
-    imputer = KernelImputer(table, pattern, config, spec=spec, diagnostics=diagnostics)
-    return imputer.basis_row(i, j)
+    observed = table.mask[:, j]
+    block = np.zeros((table.n, spec.basis_size))
+    block[observed] = basis_matrix(spec, table.x[observed, j])
+    ImputationPlan(table, pattern, config, diagnostics).impute({j: block}, target=i)
+    return block[i]

@@ -13,6 +13,7 @@ coefficients are reproducible and the curve estimates are unique.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -34,10 +35,11 @@ from .errors import (
     IncompleteRow,
     InsufficientCompleteCases,
     LengthMismatch,
+    PrimeError,
     Underdetermined,
     UnknownColumn,
 )
-from .kernel_impute import ImputationDiagnostics, KernelConfig, KernelImputer
+from .kernel_impute import ImputationDiagnostics, ImputationPlan, KernelConfig
 from .spline import SplineSpec, basis_matrix, make_spec
 
 __all__ = [
@@ -107,39 +109,33 @@ def assemble_design(
 ) -> DesignMatrix:
     """Build the n x (1 + p*L + q) design; nonlinear columns must already
     be normalized to [0, 1]."""
-    n = table.n
-    L = spec.basis_size
-    imputer = KernelImputer(table, pattern, config, spec=spec)
+    n, L = table.n, spec.basis_size
+    # observed rows now, missing rows filled by the plan: basis rows for a
+    # nonlinear column, values for a linear one
+    values = {}
+    for pos in table.nonlinear_pos:
+        observed = table.mask[:, pos]
+        values[pos] = np.zeros((n, L))
+        values[pos][observed] = basis_matrix(spec, table.x[observed, pos])
+    for pos in table.linear_pos:
+        values[pos] = np.array(table.x[:, pos : pos + 1])
+    plan = ImputationPlan(table, pattern, config)
+    plan.impute(values)
+
+    means = np.array([
+        values[pos][table.mask[:, pos]].mean(axis=0) for pos in table.nonlinear_pos
+    ]).reshape(-1, L)
     pieces = [np.ones((n, 1))]
+    pieces += [values[pos] - m for pos, m in zip(table.nonlinear_pos, means)]
+    pieces += [values[pos] for pos in table.linear_pos]
     labels = ["intercept"]
-    means = np.zeros((table.structure.p, L))
-
-    for k, name in enumerate(table.structure.nonlinear):
-        pos = table.position(name)
-        observed = table.mask[:, pos]
-        block = np.zeros((n, L))
-        block[observed] = basis_matrix(spec, table.x[observed, pos])
-        for i in np.flatnonzero(~observed):
-            block[i] = imputer.basis_row(i, pos)
-        col_means = block[observed].mean(axis=0)
-        means[k] = col_means
-        pieces.append(block - col_means)
-        labels.extend(f"{name}:b{l + 1}" for l in range(L))
-
-    for name in table.structure.linear:
-        pos = table.position(name)
-        observed = table.mask[:, pos]
-        col = np.array(table.x[:, pos])
-        for i in np.flatnonzero(~observed):
-            col[i] = imputer.linear_value(i, pos)
-        pieces.append(col[:, None])
-        labels.append(name)
-
+    labels += [f"{name}:b{l + 1}" for name in table.structure.nonlinear for l in range(L)]
+    labels += table.structure.linear
     return DesignMatrix(
         matrix=np.hstack(pieces),
         labels=tuple(labels),
         centering_means=means,
-        imputation=imputer.diagnostics,
+        imputation=plan.diagnostics,
     )
 
 
@@ -209,11 +205,7 @@ def fit_prime(
     config: KernelConfig | None = None,
 ) -> PrimeFit:
     """Fit on all rows, imputing missing covariates from partial donors."""
-    if spec is None:
-        spec = make_spec()
-    if config is None:
-        config = KernelConfig()
-    return _fit_pipeline(table, spec, config)
+    return _fit_pipeline(table, spec or make_spec(), config or KernelConfig())
 
 
 def fit_cc(
@@ -222,10 +214,7 @@ def fit_cc(
     config: KernelConfig | None = None,
 ) -> PrimeFit:
     """Fit on the complete-case rows only (identical downstream pipeline)."""
-    if spec is None:
-        spec = make_spec()
-    if config is None:
-        config = KernelConfig()
+    spec = spec or make_spec()
     rows = complete_case_subset(table)
     ncols = 1 + table.structure.p * spec.basis_size + table.structure.q
     if rows.size <= ncols:
@@ -235,7 +224,7 @@ def fit_cc(
     subset = ObservationTable(
         table.y[rows], table.x[rows], table.mask[rows], table.columns, table.structure
     )
-    return _fit_pipeline(subset, spec, config)
+    return _fit_pipeline(subset, spec, config or KernelConfig())
 
 
 def fit_mean_impute(
@@ -244,10 +233,6 @@ def fit_mean_impute(
     config: KernelConfig | None = None,
 ) -> PrimeFit:
     """Comparator: replace each missing cell by its observed column mean."""
-    if spec is None:
-        spec = make_spec()
-    if config is None:
-        config = KernelConfig()
     x = np.array(table.x)
     for pos in range(len(table.columns)):
         observed = table.mask[:, pos]
@@ -259,7 +244,7 @@ def fit_mean_impute(
     filled = ObservationTable(
         table.y, x, np.ones_like(table.mask, dtype=bool), table.columns, table.structure
     )
-    return _fit_pipeline(filled, spec, config)
+    return _fit_pipeline(filled, spec or make_spec(), config or KernelConfig())
 
 
 def predict(fit: PrimeFit, rows: np.ndarray) -> np.ndarray:
@@ -365,10 +350,28 @@ def load_fit(path: str | os.PathLike) -> PrimeFit:
         raise BadFitFile(
             f"{path}: fit file version {payload.get('version')!r}, expected {_FIT_VERSION}"
         )
+    try:
+        return _fit_from_payload(payload)
+    except (KeyError, TypeError, ValueError, PrimeError) as err:
+        raise BadFitFile(f"{path}: malformed fit file ({type(err).__name__}: {err})") from None
+
+
+def _array(payload: dict, key: str, shape: tuple[int, ...]) -> np.ndarray:
+    values = np.asarray(payload[key], dtype=float)
+    # a (0, L) matrix serializes as []
+    if values.shape != shape and not (values.size == 0 and math.prod(shape) == 0):
+        raise ValueError(f"{key!r} has shape {values.shape}, expected {shape}")
+    return values.reshape(shape)
+
+
+def _fit_from_payload(payload: dict) -> PrimeFit:
     structure = ModelStructure(
         nonlinear=tuple(payload["structure"]["nonlinear"]),
         linear=tuple(payload["structure"]["linear"]),
     )
+    columns = tuple(payload["columns"])
+    if sorted(columns) != sorted(structure.nonlinear + structure.linear):
+        raise ValueError("'columns' do not match the structure")
     spline = payload["spline"]
     degree = int(spline["degree"])
     interior = tuple(float(v) for v in spline["interior_knots"])
@@ -406,19 +409,15 @@ def load_fit(path: str | os.PathLike) -> PrimeFit:
     )
     return PrimeFit(
         structure=structure,
-        columns=tuple(payload["columns"]),
+        columns=columns,
         spec=spec,
         kernel_config=config,
         normalization=NormalizationMap(
             {k: (float(v[0]), float(v[1])) for k, v in payload["normalization"].items()}
         ),
         intercept=float(payload["intercept"]),
-        curve_coefs=np.asarray(payload["curve_coefs"], dtype=float).reshape(
-            structure.p, spec.basis_size
-        ),
-        linear_coefs=np.asarray(payload["linear_coefs"], dtype=float),
-        centering_means=np.asarray(payload["centering_means"], dtype=float).reshape(
-            structure.p, spec.basis_size
-        ),
+        curve_coefs=_array(payload, "curve_coefs", (structure.p, spec.basis_size)),
+        linear_coefs=_array(payload, "linear_coefs", (structure.q,)),
+        centering_means=_array(payload, "centering_means", (structure.p, spec.basis_size)),
         diagnostics=diagnostics,
     )

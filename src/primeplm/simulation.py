@@ -349,7 +349,7 @@ def _replication_chunk(
         for method in methods:
             try:
                 pred, beta = _run_method(method, table, x_test, spec, kconfig)
-            except PrimeError as err:
+            except (PrimeError, np.linalg.LinAlgError) as err:
                 records.append(
                     ReplicationRecord(method, rep, None, None, f"{type(err).__name__}: {err}")
                 )

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from primeplm import ModelStructure, ObservationTable
+from primeplm.kernel_impute import ImputationPlan
+from primeplm.spline import basis_matrix
 
 COLUMNS = ("x1", "x2", "x3", "x4", "x5", "x6", "x7", "x8")
 STRUCTURE = ModelStructure(
@@ -95,6 +97,22 @@ def make_blockwise_table(n: int = 60, seed: int = 6) -> ObservationTable:
         y=y, x=np.where(mask, x, np.nan), mask=mask, columns=COLUMNS,
         structure=STRUCTURE,
     )
+
+
+def imputed_columns(table, pattern, config, spec=None):
+    """Every column of the table filled by one ImputationPlan, the way
+    assemble_design fills them: (n, L) basis rows for nonlinear columns
+    when ``spec`` is given, (n, 1) values for the other columns."""
+    values = {}
+    for pos, name in enumerate(table.columns):
+        observed = table.mask[:, pos]
+        if spec is not None and name in table.structure.nonlinear:
+            values[pos] = np.zeros((table.n, spec.basis_size))
+            values[pos][observed] = basis_matrix(spec, table.x[observed, pos])
+        else:
+            values[pos] = np.array(table.x[:, pos : pos + 1])
+    ImputationPlan(table, pattern, config).impute(values)
+    return values
 
 
 @pytest.fixture

@@ -13,12 +13,11 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import ndtr
 
-from conftest import make_blockwise_table
+from conftest import imputed_columns, make_blockwise_table
 from primeplm import ModelStructure, ObservationTable, build_pattern_index, make_spec
 from primeplm.kernel_impute import (
+    ImputationPlan,
     KernelConfig,
-    KernelImputer,
-    donor_set,
     impute_basis_row,
     impute_linear_value,
     projected_kernel_weight,
@@ -383,18 +382,18 @@ def test_criterion_9_property_sweeps():
         for seed in (1, 2, 3, 4, 5):
             table = make_blockwise_table(n=1200, seed=seed)
             pattern = build_pattern_index(table)
-            imputer = KernelImputer(
-                table, pattern, KernelConfig(seed=seed), spec=make_spec()
-            )
+            config = KernelConfig(seed=seed)
+            plan = ImputationPlan(table, pattern, config)
+            values = imputed_columns(table, pattern, config, make_spec())
             nonlinear = {table.position(c) for c in table.structure.nonlinear}
             for i in np.flatnonzero(~table.mask.all(axis=1)):
                 for j in np.flatnonzero(~table.mask[i]):
-                    donors = donor_set(table, pattern, i, int(j)).donors
+                    donors = plan.cell_weights(i, int(j))[0]
                     if j in nonlinear:
-                        row = imputer.basis_row(i, int(j))
+                        row = values[j][i]
                         good = row.min() >= -1e-12 and abs(row.sum() - 1.0) <= 1e-9
                     else:
-                        value = imputer.linear_value(i, int(j))
+                        value = values[j][i, 0]
                         pool = (
                             table.x[donors, j] if donors.size
                             else table.x[table.mask[:, j], j]

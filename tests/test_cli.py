@@ -230,6 +230,25 @@ def test_predict_rejects_wrong_fit_file(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_predict_truncated_fit_file_is_data_error(tmp_path, capsys):
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text('{"format": "primeplm.fit", "version": 1}')
+    rc = main(["predict", "--fit", str(truncated), "--data", TOY,
+               "--out", str(tmp_path / "p.csv")])
+    assert rc == 3
+    assert "malformed fit file" in capsys.readouterr().err
+
+    payload = json.loads(run_fit(tmp_path).read_text())
+    payload["centering_means"] = payload["centering_means"][0][:-1]
+    reshaped = tmp_path / "reshaped.json"
+    reshaped.write_text(json.dumps(payload))
+    capsys.readouterr()
+    rc = main(["predict", "--fit", str(reshaped), "--data", TOY,
+               "--out", str(tmp_path / "p.csv")])
+    assert rc == 3
+    assert "centering_means" in capsys.readouterr().err
+
+
 def test_predict_data_missing_columns(tmp_path, capsys):
     fit_path = run_fit(tmp_path)
     short = tmp_path / "short.csv"
@@ -264,6 +283,7 @@ def test_average_report_and_predictions(tmp_path, capsys):
     assert payload["n_complete"] == 80
     assert not payload["uniform_fallback"]
     assert np.isfinite(payload["objective"])
+    assert payload["spline"] == {"degree": 3, "interior_knots": []}
     # the real curve lives on u1, so its candidate should dominate
     assert payload["weights"]["u1"] == max(payload["weights"].values())
 
@@ -287,6 +307,17 @@ def test_average_reruns_are_byte_identical(tmp_path, capsys):
     a.pop("data_file"), b.pop("data_file")
     assert first.read_bytes().replace(b"r1", b"r2") == second.read_bytes()
     assert a == b
+
+
+def test_average_report_records_knot_positions(tmp_path, capsys):
+    report_path = tmp_path / "avg.json"
+    rc = main(["average", "--data", TOY, "--response", "y", "--knots", "3",
+               "--out", str(report_path), "--seed", "3"])
+    assert rc == 0
+    capsys.readouterr()
+    spline = json.loads(report_path.read_text())["spline"]
+    # positions, as in a fit file, not the knot count
+    assert spline["interior_knots"] == pytest.approx([0.25, 0.5, 0.75])
 
 
 def test_average_missing_response_column(tmp_path, capsys):

@@ -69,16 +69,13 @@ def test_position_and_unknown(pattern_table):
 def test_pattern_fixture_layout(pattern_table):
     pat = build_pattern_index(pattern_table)
     assert pat.n == 10
-    assert pat.n_distinct_patterns() == 5
-    assert pat.n_distinct_patterns(incomplete_only=True) == 4
+    assert len(pat.groups) == 5
     assert_array_equal(complete_case_subset(pattern_table), [0, 1])
-    # row 2 misses {2, 5, 6, 7}: nonlinear 2 and linears 5..7
-    assert_array_equal(pat.observed_nonlinear[2], [0, 1])
-    assert_array_equal(pat.missing_nonlinear[2], [2])
-    assert_array_equal(pat.observed_linear[2], [3, 4])
-    assert_array_equal(pat.missing_linear[2], [5, 6, 7])
-    assert_array_equal(pat.observed_all[2], [0, 1, 3, 4])
-    assert [pat.n_observed[i] for i in range(10)] == [8, 8, 4, 4, 6, 6, 7, 7, 5, 5]
+    # row 2 misses {2, 5, 6, 7} and shares that pattern with row 3
+    assert_array_equal(pat.groups[pattern_table.mask[2].tobytes()], [2, 3])
+    observed = [np.flatnonzero(np.frombuffer(key, dtype=bool)) for key in pat.groups]
+    assert_array_equal(observed[1], [0, 1, 3, 4])
+    assert [len(c) for c in observed] == [8, 4, 6, 7, 5]
 
 
 def test_pattern_partition_property():
@@ -86,21 +83,15 @@ def test_pattern_partition_property():
     for _ in range(25):
         table = make_random_table(rng, n=30, p=3, q=4, missing_rate=0.4)
         pat = build_pattern_index(table)
-        nl = set(table.nonlinear_pos.tolist())
-        lin = set(table.linear_pos.tolist())
-        sizes = 0
-        for i in range(table.n):
-            a = set(pat.observed_nonlinear[i].tolist())
-            abar = set(pat.missing_nonlinear[i].tolist())
-            b = set(pat.observed_linear[i].tolist())
-            bbar = set(pat.missing_linear[i].tolist())
-            assert a | abar == nl and not a & abar
-            assert b | bbar == lin and not b & bbar
-            assert pat.n_observed[i] == len(a) + len(b)
-            assert_array_equal(pat.observed_all[i], sorted(a | b))
-        for rows in pat.groups.values():
-            sizes += len(rows)
-        assert sizes == table.n
+        firsts = []
+        seen = np.zeros(table.n, dtype=int)
+        for key, rows in pat.groups.items():
+            assert (table.mask[rows] == np.frombuffer(key, dtype=bool)).all()
+            assert_array_equal(rows, np.sort(rows))
+            seen[rows] += 1
+            firsts.append(rows[0])
+        assert (seen == 1).all()
+        assert firsts == sorted(firsts)
 
 
 def test_complete_case_subset_empty():

@@ -7,14 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from conftest import make_pattern_table, make_random_table
+from conftest import imputed_columns, make_pattern_table, make_random_table
 from primeplm import ModelStructure, ObservationTable, build_pattern_index, make_spec
 from primeplm.errors import DegenerateSampleWarning, InvalidConfig
 from primeplm.kernel_impute import (
     ImputationDiagnostics,
+    ImputationPlan,
     KernelConfig,
-    KernelImputer,
-    donor_set,
     draw_directions,
     impute_basis_row,
     impute_linear_value,
@@ -35,6 +34,11 @@ def two_column_table(a, b):
         y=np.zeros(len(a)), x=x, mask=mask, columns=("a", "b"),
         structure=ModelStructure(nonlinear=("a",), linear=("b",)),
     )
+
+
+def missing_cells(table, columns):
+    """(i, j) of every missing cell among the given columns, row by row."""
+    return [(i, j) for i in range(table.n) for j in columns if not table.mask[i, j]]
 
 
 def test_silverman_examples():
@@ -140,28 +144,30 @@ def test_draw_directions_moments():
 
 def test_donor_sets_on_pattern_fixture():
     table = make_pattern_table()
-    pattern = build_pattern_index(table)
+    plan = ImputationPlan(table, build_pattern_index(table), KernelConfig())
+
+    def donors(i, j):
+        return plan.cell_weights(i, j)[0]
+
     # row 2 misses column 2 and conditions on {0, 1, 3, 4}; only the two
     # complete rows observe that superset
-    ds = donor_set(table, pattern, 2, 2)
-    assert ds.target == 2 and ds.column == 2
-    assert_array_equal(ds.donors, [0, 1])
+    assert_array_equal(donors(2, 2), [0, 1])
     # row 6 misses only column 3: donors observe {0,1,2,4,5,6,7} + {3}
-    assert_array_equal(donor_set(table, pattern, 6, 3).donors, [0, 1])
+    assert_array_equal(donors(6, 3), [0, 1])
     # row 8 misses {1,2,4}: conditioning set {0,3,5,6,7}; rows 2-7 all lack
     # column 3 or 5, row 9 lacks the target column, so only the complete
     # rows qualify
-    assert_array_equal(donor_set(table, pattern, 8, 1).donors, [0, 1])
-    for donor in donor_set(table, pattern, 8, 1).donors:
+    assert_array_equal(donors(8, 1), [0, 1])
+    for donor in donors(8, 1):
         assert table.mask[donor, 1]
         assert table.mask[donor, [0, 3, 5, 6, 7]].all()
 
 
 def test_donor_set_rejects_observed_cell():
     table = make_pattern_table()
-    pattern = build_pattern_index(table)
+    plan = ImputationPlan(table, build_pattern_index(table), KernelConfig())
     with pytest.raises(InvalidConfig):
-        donor_set(table, pattern, 0, 2)
+        plan.cell_weights(0, 2)
 
 
 def test_nw_linear_micro_oracle():
@@ -255,17 +261,17 @@ def test_convex_hull_property_bulk():
         table = make_random_table(rng, n=50, p=2, q=3, missing_rate=0.2)
         pattern = build_pattern_index(table)
         config = KernelConfig(seed=7)
-        imputer = KernelImputer(table, pattern, config)
-        for i in range(table.n):
-            for j in pattern.missing_linear[i]:
-                donors = imputer.table.x[donor_set(table, pattern, i, j).donors, j]
-                value = imputer.linear_value(i, j)
-                if donors.size:
-                    assert donors.min() - 1e-12 <= value <= donors.max() + 1e-12
-                else:
-                    obs = table.x[table.mask[:, j], j]
-                    assert obs.min() - 1e-12 <= value <= obs.max() + 1e-12
-                checked += 1
+        plan = ImputationPlan(table, pattern, config)
+        values = imputed_columns(table, pattern, config)
+        for i, j in missing_cells(table, table.linear_pos):
+            donors = table.x[plan.cell_weights(i, j)[0], j]
+            value = values[j][i, 0]
+            if donors.size:
+                assert donors.min() - 1e-12 <= value <= donors.max() + 1e-12
+            else:
+                obs = table.x[table.mask[:, j], j]
+                assert obs.min() - 1e-12 <= value <= obs.max() + 1e-12
+            checked += 1
     assert checked > 300
 
 
@@ -275,13 +281,12 @@ def test_basis_rows_sum_to_one_bulk():
     for _ in range(6):
         table = make_random_table(rng, n=40, p=3, q=2, missing_rate=0.25)
         pattern = build_pattern_index(table)
-        imputer = KernelImputer(table, pattern, KernelConfig(), spec=spec)
-        for i in range(table.n):
-            for j in pattern.missing_nonlinear[i]:
-                row = imputer.basis_row(i, j)
-                assert row.shape == (spec.basis_size,)
-                assert np.all(row >= -1e-12)
-                assert row.sum() == pytest.approx(1.0, abs=1e-9)
+        values = imputed_columns(table, pattern, KernelConfig(), spec)
+        for i, j in missing_cells(table, table.nonlinear_pos):
+            row = values[j][i]
+            assert row.shape == (spec.basis_size,)
+            assert np.all(row >= -1e-12)
+            assert row.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_row_permutation_invariance():
@@ -296,11 +301,10 @@ def test_row_permutation_invariance():
     pattern_s = build_pattern_index(shuffled)
     config = KernelConfig()
     inverse = np.argsort(perm)
-    for i in range(table.n):
-        for j in pattern.missing_linear[i]:
-            a = impute_linear_value(i, j, table, pattern, config)
-            b = impute_linear_value(int(inverse[i]), j, shuffled, pattern_s, config)
-            assert a == pytest.approx(b, abs=1e-12)
+    for i, j in missing_cells(table, table.linear_pos):
+        a = impute_linear_value(i, j, table, pattern, config)
+        b = impute_linear_value(int(inverse[i]), j, shuffled, pattern_s, config)
+        assert a == pytest.approx(b, abs=1e-12)
 
 
 def test_projection_threshold_gates_resampling():
@@ -313,14 +317,13 @@ def test_projection_threshold_gates_resampling():
     active = KernelConfig(projection="resampled", n_projections=2,
                           projection_threshold=2, seed=3)
     saw_difference = False
-    for i in range(table.n):
-        for j in pattern.missing_linear[i]:
-            a = impute_linear_value(i, j, table, pattern, plain)
-            b = impute_linear_value(i, j, table, pattern, gated)
-            assert a == pytest.approx(b, abs=1e-12)
-            if pattern.n_observed[i] > 2:
-                c = impute_linear_value(i, j, table, pattern, active)
-                saw_difference = saw_difference or abs(a - c) > 1e-9
+    for i, j in missing_cells(table, table.linear_pos):
+        a = impute_linear_value(i, j, table, pattern, plain)
+        b = impute_linear_value(i, j, table, pattern, gated)
+        assert a == pytest.approx(b, abs=1e-12)
+        if table.mask[i].sum() > 2:
+            c = impute_linear_value(i, j, table, pattern, active)
+            saw_difference = saw_difference or abs(a - c) > 1e-9
     assert saw_difference
 
 
@@ -347,4 +350,4 @@ def test_kernel_config_validation():
     with pytest.raises(InvalidConfig):
         table = two_column_table(a=[0.1, 0.2], b=[1.0, 2.0])
         pattern = build_pattern_index(table)
-        KernelImputer(table, pattern, KernelConfig(bandwidth="fixed", fixed_h=(1.0,)))
+        ImputationPlan(table, pattern, KernelConfig(bandwidth="fixed", fixed_h=(1.0,)))

@@ -224,6 +224,29 @@ def test_run_study_records_failures():
     assert any("InsufficientCompleteCases" in r.error for r in failed)
 
 
+def test_run_study_survives_linalg_error(monkeypatch):
+    import primeplm.simulation as simulation
+
+    real_fit = simulation.fit_prime
+    calls = []
+
+    def flaky_fit(table, spec, config):
+        calls.append(1)
+        if len(calls) == 2:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real_fit(table, spec, config)
+
+    monkeypatch.setattr(simulation, "fit_prime", flaky_fit)
+    report = run_study(small_config(replications=3), methods=("prime", "cc"))
+    prime = report.metrics["prime"]
+    assert prime.n_ok == 2 and prime.n_failed == 1
+    assert np.isfinite(prime.pe)
+    failed = [r for r in report.records if r.pe is None]
+    assert [(r.method, r.replication) for r in failed] == [("prime", 1)]
+    assert failed[0].error == "LinAlgError: SVD did not converge"
+    assert report.metrics["cc"].n_ok == 3
+
+
 def test_run_study_no_missing_and_prime_ma():
     config = small_config(n=100, replications=2, missing="none")
     report = run_study(config, methods=("prime", "prime_ma"))
