@@ -32,15 +32,12 @@ from .kernel_impute import (
 )
 from .model_averaging import (
     AveragedFit,
-    CandidateModel,
     CvMatrix,
     build_candidates,
     build_cv_matrix,
     cc_design,
     cv_weights,
-    fit_candidate_full,
     fit_prime_ma,
-    hat_diag,
     loo_residuals,
     predict_averaged,
 )
@@ -77,14 +74,7 @@ from .simulation import (
     sigma_for_r2,
     true_mean,
 )
-from .spline import (
-    BasisBlock,
-    SplineSpec,
-    basis_matrix,
-    center_block,
-    eval_basis,
-    make_spec,
-)
+from .spline import SplineSpec, basis_matrix, make_spec
 
 __version__ = "0.1.0"
 
@@ -95,8 +85,7 @@ __all__ = [
     "load_structure", "load_csv", "write_csv", "build_pattern_index",
     "complete_case_subset", "minmax_normalize",
     # spline
-    "SplineSpec", "BasisBlock", "make_spec", "eval_basis", "basis_matrix",
-    "center_block",
+    "SplineSpec", "make_spec", "basis_matrix",
     # kernel imputation
     "KernelConfig", "ImputationDiagnostics", "ImputationPlan",
     "silverman_bandwidth", "product_kernel_weight", "projected_kernel_weight",
@@ -106,8 +95,7 @@ __all__ = [
     "solve_least_squares", "fit_prime", "fit_cc", "fit_mean_impute",
     "predict", "estimate_g", "save_fit", "load_fit",
     # model averaging
-    "CandidateModel", "CvMatrix", "AveragedFit", "build_candidates",
-    "fit_candidate_full", "cc_design", "hat_diag", "loo_residuals",
+    "CvMatrix", "AveragedFit", "build_candidates", "cc_design", "loo_residuals",
     "build_cv_matrix", "cv_weights", "predict_averaged", "fit_prime_ma",
     # simulation
     "TRUE_BETA", "MR_PARAMS_60", "MR_PARAMS_85", "SIM_COLUMNS", "SIM_STRUCTURE",

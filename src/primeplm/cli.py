@@ -20,49 +20,25 @@ from . import __version__
 from ._kv import read_kv_file
 from .dataset import ModelStructure, load_csv, load_structure, minmax_normalize
 from .errors import (
-    BadFitFile,
-    DegenerateColumn,
     IncompleteRow,
     InsufficientCompleteCases,
-    InsufficientData,
     InvalidConfig,
-    InvalidDegree,
-    LengthMismatch,
     LeverageOne,
     MalformedCsv,
-    MissingBaseline,
     MissingResponse,
-    OutOfDomain,
+    PrimeError,
     SingularGram,
     StructureMismatch,
     Underdetermined,
-    UnknownColumn,
 )
 from .kernel_impute import KernelConfig
 from .model_averaging import fit_prime_ma
 from .prime_fit import fit_prime, load_fit, predict, save_fit
-from .simulation import (
-    MetricsReport,
-    run_study,
-    scenario_from_entries,
-)
+from .simulation import TRUE_BETA, MetricsReport, run_study, scenario_from_entries
 from .spline import make_spec
 
+# any other PrimeError is a data problem (exit 3)
 _USAGE_ERRORS = (FileNotFoundError, IsADirectoryError, PermissionError, InvalidConfig)
-_DATA_ERRORS = (
-    MalformedCsv,
-    MissingResponse,
-    StructureMismatch,
-    BadFitFile,
-    UnknownColumn,
-    IncompleteRow,
-    DegenerateColumn,
-    InsufficientData,
-    InvalidDegree,
-    OutOfDomain,
-    LengthMismatch,
-    MissingBaseline,
-)
 _NUMERICAL_ERRORS = (
     Underdetermined,
     InsufficientCompleteCases,
@@ -157,12 +133,23 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _meta_sidecar(out_path: str, payload: dict) -> None:
-    _write_json(out_path + ".meta.json", payload)
-
-
 def _fmt(value: float) -> str:
     return repr(float(value))
+
+
+def _write_predictions(path: str, preds: np.ndarray, meta: dict) -> None:
+    """``row,prediction`` CSV plus its ``.meta.json`` sidecar."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["row", "prediction"])
+        writer.writerows([i, _fmt(value)] for i, value in enumerate(preds))
+    _write_json(path + ".meta.json", {
+        "format": "primeplm.predictions",
+        "version": 1,
+        "tool_version": __version__,
+        **meta,
+        "rows": int(preds.size),
+    })
 
 
 # -- fit -------------------------------------------------------------------
@@ -241,19 +228,9 @@ def cmd_predict(args) -> int:
     fit = load_fit(args.fit)
     rows = _read_prediction_rows(args.data, fit.columns, args.missing_token)
     preds = predict(fit, rows)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "prediction"])
-        for i, value in enumerate(preds):
-            writer.writerow([i, _fmt(value)])
-    _meta_sidecar(args.out, {
-        "format": "primeplm.predictions",
-        "version": 1,
-        "tool_version": __version__,
-        "fit_file": str(args.fit),
-        "data_file": str(args.data),
-        "rows": int(preds.size),
-    })
+    _write_predictions(
+        args.out, preds, {"fit_file": str(args.fit), "data_file": str(args.data)}
+    )
     print(f"{preds.size} predictions written to {args.out}")
     return 0
 
@@ -312,18 +289,7 @@ def cmd_average(args) -> int:
                     "no complete rows to predict; give --predict-data"
                 )
         preds = avg.predict(rows)
-        with open(args.predictions_out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["row", "prediction"])
-            for i, value in enumerate(preds):
-                writer.writerow([i, _fmt(value)])
-        _meta_sidecar(args.predictions_out, {
-            "format": "primeplm.predictions",
-            "version": 1,
-            "tool_version": __version__,
-            "average_report": str(args.out),
-            "rows": int(preds.size),
-        })
+        _write_predictions(args.predictions_out, preds, {"average_report": str(args.out)})
         print(f"{preds.size} averaged predictions written to {args.predictions_out}")
     print(f"report written to {args.out}")
     return 0
@@ -393,10 +359,7 @@ def cmd_simulate(args) -> int:
         for rec in report.records:
             beta_err = ""
             if rec.beta is not None:
-                beta_err = _fmt(
-                    float(((np.array(rec.beta) -
-                            np.array([1.0, -1.5, 1.0, -1.2, 0.4])) ** 2).sum())
-                )
+                beta_err = _fmt(((np.array(rec.beta) - TRUE_BETA) ** 2).sum())
             writer.writerow([
                 rec.method, str(rec.replication),
                 "1" if rec.pe is not None else "0",
@@ -606,10 +569,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except _NUMERICAL_ERRORS as err:
         return _fail(4, str(err))
-    except _DATA_ERRORS as err:
-        return _fail(3, str(err))
     except _USAGE_ERRORS as err:
         return _fail(2, str(err))
+    except PrimeError as err:
+        return _fail(3, str(err))
 
 
 if __name__ == "__main__":

@@ -148,10 +148,6 @@ class PatternIndex:
 
     groups: dict[bytes, np.ndarray] = field(repr=False)
 
-    @property
-    def n(self) -> int:
-        return sum(len(rows) for rows in self.groups.values())
-
 
 def build_pattern_index(table: ObservationTable) -> PatternIndex:
     groups: dict[bytes, list[int]] = {}
@@ -179,12 +175,6 @@ class NormalizationMap:
         if clamp:
             out = np.clip(out, 0.0, 1.0)
         return out
-
-    def inverse(self, name: str, values: np.ndarray) -> np.ndarray:
-        if name not in self.ranges:
-            raise UnknownColumn(f"no normalization recorded for {name!r}")
-        lo, hi = self.ranges[name]
-        return lo + np.asarray(values, dtype=float) * (hi - lo)
 
 
 def minmax_normalize(table: ObservationTable) -> tuple[ObservationTable, NormalizationMap]:

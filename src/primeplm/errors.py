@@ -30,7 +30,8 @@ class UnknownColumn(PrimeError):
 # -- spline basis ------------------------------------------------------------
 
 class InvalidDegree(PrimeError):
-    """Spline degree below 1 or a negative interior-knot count."""
+    """Spline degree below 1, a negative interior-knot count, or interior
+    knots not strictly increasing inside (0, 1)."""
 
 
 class InsufficientData(PrimeError):

@@ -1,11 +1,14 @@
 """Jackknife model averaging over single-nonlinear-covariate candidates.
 
 Candidate k models covariate k with a spline and all remaining covariates
-linearly.  Weights minimize the leave-one-out cross-validation criterion
-w' (E'E) w over the probability simplex, where column k of E holds the
-LOO residuals of candidate k's least squares fit on the complete cases
-(computed by the hat-diagonal shortcut, no refits).  Final predictions
-average the full-data candidate fits under those weights.
+linearly; it is the ``ModelStructure`` with that one nonlinear column.
+Weights minimize the leave-one-out cross-validation criterion |E w|^2 over
+the probability simplex, where column k of E holds the LOO residuals of
+candidate k's least squares fit on the complete cases.  Each candidate
+design is factored by one reduced QR, which gives both the residuals and
+the leverages of the hat-diagonal shortcut (Hansen & Racine 2012), so no
+unit is refitted.  Final predictions average the full-data candidate fits
+under those weights.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .dataset import ModelStructure, ObservationTable, complete_case_subset
 from .errors import (
@@ -28,13 +30,11 @@ from .prime_fit import PrimeFit, fit_prime, predict
 from .spline import SplineSpec, basis_matrix, make_spec
 
 __all__ = [
-    "CandidateModel",
     "CvMatrix",
     "AveragedFit",
     "build_candidates",
     "fit_candidate_full",
     "cc_design",
-    "hat_diag",
     "loo_residuals",
     "build_cv_matrix",
     "cv_weights",
@@ -42,41 +42,34 @@ __all__ = [
     "fit_prime_ma",
 ]
 
+_SINGULAR_RTOL = 1e-10
 _LEVERAGE_TOL = 1e-8
 _QP_IMPROVEMENT_TOL = 1e-12
 _QP_MAX_SWEEPS = 10_000
 
 
-@dataclass(frozen=True)
-class CandidateModel:
-    """One covariate modeled nonlinearly, the rest linear."""
-
-    name: str
-    structure: ModelStructure
-
-
-def build_candidates(columns) -> list[CandidateModel]:
+def build_candidates(columns) -> list[ModelStructure]:
+    """One structure per column: that column nonlinear, the rest linear."""
     columns = tuple(columns)
-    out = []
-    for name in columns:
-        rest = tuple(c for c in columns if c != name)
-        out.append(CandidateModel(name=name, structure=ModelStructure((name,), rest)))
-    return out
+    return [
+        ModelStructure((name,), tuple(c for c in columns if c != name))
+        for name in columns
+    ]
 
 
 def fit_candidate_full(
     table: ObservationTable,
-    candidate: CandidateModel,
+    candidate: ModelStructure,
     spec: SplineSpec,
     config: KernelConfig,
 ) -> PrimeFit:
     """Full-data fit of one candidate (used for the averaged prediction)."""
-    return fit_prime(table.with_structure(candidate.structure), spec, config)
+    return fit_prime(table.with_structure(candidate), spec, config)
 
 
 def cc_design(
     table: ObservationTable,
-    candidate: CandidateModel,
+    candidate: ModelStructure,
     spec: SplineSpec,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Candidate design on the complete-case rows.
@@ -89,42 +82,36 @@ def cc_design(
     rows = complete_case_subset(table)
     if rows.size == 0:
         raise InsufficientCompleteCases("no complete rows for the candidate design")
-    pos = table.position(candidate.name)
-    vals = table.x[rows, pos]
+    name = candidate.nonlinear[0]
+    vals = table.x[rows, table.position(name)]
     lo, hi = float(vals.min()), float(vals.max())
     if not hi > lo:
-        raise DegenerateColumn(
-            f"candidate column {candidate.name!r} is constant on the complete cases"
-        )
+        raise DegenerateColumn(f"candidate column {name!r} is constant on the complete cases")
     block = basis_matrix(spec, (vals - lo) / (hi - lo))
-    others = [
-        table.x[rows, table.position(c)][:, None] for c in candidate.structure.linear
-    ]
+    others = [table.x[rows, table.position(c)][:, None] for c in candidate.linear]
     return np.hstack([block, *others]), rows
 
 
-def hat_diag(G: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
-    """Diagonal of G (G'G)^{-1} G' via the thin QR factorization."""
-    G = np.asarray(G, dtype=float)
+def _residuals_and_leverages(G: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least squares residuals y - Q(Q'y) and hat diagonal (row sums of Q^2)
+    from one reduced QR of G."""
     q, r = np.linalg.qr(G, mode="reduced")
     d = np.abs(np.diag(r))
-    if d.min() <= rtol * d.max():
+    if d.min() <= _SINGULAR_RTOL * d.max():
         raise SingularGram(
             f"candidate cross-product matrix is numerically singular "
             f"(diag ratio {d.min() / d.max():.2e})"
         )
-    return (q * q).sum(axis=1)
+    return y - q @ (q.T @ y), (q * q).sum(axis=1)
 
 
 def loo_residuals(G: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Exact leave-one-out residuals (y_i - yhat_i) / (1 - h_ii)."""
-    G = np.asarray(G, dtype=float)
-    y = np.asarray(y, dtype=float)
-    h = hat_diag(G)
+    resid, h = _residuals_and_leverages(
+        np.asarray(G, dtype=float), np.asarray(y, dtype=float)
+    )
     if np.any(h >= 1.0 - _LEVERAGE_TOL):
         raise LeverageOne("a unit has leverage numerically equal to 1")
-    coef, _, _, _ = scipy.linalg.lstsq(G, y)
-    resid = y - G @ coef
     return resid / (1.0 - h)
 
 
@@ -140,49 +127,35 @@ class CvMatrix:
 
 def build_cv_matrix(
     table: ObservationTable,
-    candidates: list[CandidateModel],
+    candidates: list[ModelStructure],
     spec: SplineSpec,
 ) -> CvMatrix:
     """One pass over candidates; units with leverage >= 1 - 1e-8 in any
     candidate are dropped from every column (same unit set throughout)."""
-    columns = []
-    leverages = []
-    rows = None
-    for cand in candidates:
-        G, cc_rows = cc_design(table, cand, spec)
-        if rows is None:
-            rows = cc_rows
-        h = hat_diag(G)
-        coef, _, _, _ = scipy.linalg.lstsq(G, table.y[cc_rows])
-        resid = table.y[cc_rows] - G @ coef
-        leverages.append(h)
-        columns.append((resid, h))
-    keep = np.ones(rows.size, dtype=bool)
-    for h in leverages:
-        keep &= h < 1.0 - _LEVERAGE_TOL
+    parts = []
+    for candidate in candidates:
+        G, rows = cc_design(table, candidate, spec)
+        parts.append(_residuals_and_leverages(G, table.y[rows]))
+    keep = np.logical_and.reduce([h < 1.0 - _LEVERAGE_TOL for _, h in parts])
     if not keep.any():
         raise InsufficientCompleteCases("every complete case has leverage ~ 1")
-    matrix = np.column_stack(
-        [resid[keep] / (1.0 - h[keep]) for resid, h in columns]
-    )
     return CvMatrix(
-        matrix=matrix,
+        matrix=np.column_stack([resid[keep] / (1.0 - h[keep]) for resid, h in parts]),
         rows=rows[keep],
         dropped=rows[~keep],
-        candidates=tuple(c.name for c in candidates),
+        candidates=tuple(c.nonlinear[0] for c in candidates),
     )
 
 
-def cv_weights(cv: CvMatrix | np.ndarray) -> np.ndarray:
+def cv_weights(E: np.ndarray) -> np.ndarray:
     """Minimize w'(E'E)w over the simplex by pairwise coordinate exchange.
 
     Deterministic sweep over index pairs; each step transfers the exactly
     optimal amount of mass between the two coordinates (clipped to keep
     both nonnegative); stops when no pair improves by more than 1e-12.
     """
-    E = cv.matrix if isinstance(cv, CvMatrix) else np.asarray(cv, dtype=float)
-    Q = E.T @ E
-    return _simplex_qp(Q)
+    E = np.asarray(E, dtype=float)
+    return _simplex_qp(E.T @ E)
 
 
 def _simplex_qp(Q: np.ndarray) -> np.ndarray:
@@ -252,10 +225,8 @@ def fit_prime_ma(
     config: KernelConfig | None = None,
 ) -> AveragedFit:
     """Candidate fits on all rows, CV weights from the complete cases."""
-    if spec is None:
-        spec = make_spec()
-    if config is None:
-        config = KernelConfig()
+    spec = spec or make_spec()
+    config = config or KernelConfig()
     candidates = build_candidates(table.columns)
     fits = tuple(fit_candidate_full(table, c, spec, config) for c in candidates)
     n_cov = len(table.columns)
@@ -273,15 +244,14 @@ def fit_prime_ma(
         uniform = True
     else:
         cv = build_cv_matrix(table, candidates, spec)
-        weights = cv_weights(cv)
+        weights = cv_weights(cv.matrix)
         dropped = int(cv.dropped.size)
         if dropped:
             notes.append(f"dropped {dropped} high-leverage units from the CV matrix")
-        Q = cv.matrix.T @ cv.matrix
-        objective = float(weights @ Q @ weights)
+        objective = float(np.sum((cv.matrix @ weights) ** 2))
         uniform = False
     return AveragedFit(
-        candidates=tuple(c.name for c in candidates),
+        candidates=tuple(c.nonlinear[0] for c in candidates),
         fits=fits,
         weights=weights,
         n_complete=int(rows.size),

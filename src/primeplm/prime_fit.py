@@ -364,6 +364,13 @@ def _array(payload: dict, key: str, shape: tuple[int, ...]) -> np.ndarray:
     return values.reshape(shape)
 
 
+def _range(name: str, values) -> tuple[float, float]:
+    lo, hi = (float(v) for v in values)
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"normalization of {name!r} needs finite lo < hi, got {values}")
+    return lo, hi
+
+
 def _fit_from_payload(payload: dict) -> PrimeFit:
     structure = ModelStructure(
         nonlinear=tuple(payload["structure"]["nonlinear"]),
@@ -372,16 +379,14 @@ def _fit_from_payload(payload: dict) -> PrimeFit:
     columns = tuple(payload["columns"])
     if sorted(columns) != sorted(structure.nonlinear + structure.linear):
         raise ValueError("'columns' do not match the structure")
-    spline = payload["spline"]
-    degree = int(spline["degree"])
-    interior = tuple(float(v) for v in spline["interior_knots"])
     spec = SplineSpec(
-        degree=degree,
-        interior_knots=interior,
-        knot_vector=np.concatenate(
-            [np.zeros(degree + 1), np.asarray(interior), np.ones(degree + 1)]
-        ),
+        degree=int(payload["spline"]["degree"]),
+        interior_knots=payload["spline"]["interior_knots"],
     )
+    ranges = payload["normalization"]
+    if sorted(ranges) != sorted(structure.nonlinear):
+        raise ValueError("'normalization' keys do not match the nonlinear columns")
+    normalization = NormalizationMap({k: _range(k, v) for k, v in ranges.items()})
     kern = payload["kernel"]
     config = KernelConfig(
         bandwidth=kern["bandwidth"],
@@ -412,9 +417,7 @@ def _fit_from_payload(payload: dict) -> PrimeFit:
         columns=columns,
         spec=spec,
         kernel_config=config,
-        normalization=NormalizationMap(
-            {k: (float(v[0]), float(v[1])) for k, v in payload["normalization"].items()}
-        ),
+        normalization=normalization,
         intercept=float(payload["intercept"]),
         curve_coefs=_array(payload, "curve_coefs", (structure.p, spec.basis_size)),
         linear_coefs=_array(payload, "linear_coefs", (structure.q,)),

@@ -23,7 +23,7 @@ from scipy.special import ndtr
 from .dataset import ModelStructure, ObservationTable
 from .errors import InvalidConfig, MissingBaseline, PrimeError
 from .kernel_impute import KernelConfig
-from .model_averaging import fit_prime_ma
+from .model_averaging import AveragedFit, fit_prime_ma
 from .prime_fit import fit_cc, fit_mean_impute, fit_prime, predict
 from .spline import SplineSpec, make_spec
 
@@ -292,19 +292,17 @@ def _run_method(
     kconfig: KernelConfig,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Returns (test predictions, linear coefficient estimates or None)."""
-    if method == "prime":
-        fit = fit_prime(table, spec, kconfig)
-        return predict(fit, x_test), fit.linear_coefs
-    if method == "cc":
-        fit = fit_cc(table, spec, kconfig)
-        return predict(fit, x_test), fit.linear_coefs
-    if method == "mean_impute":
-        fit = fit_mean_impute(table, spec, kconfig)
-        return predict(fit, x_test), fit.linear_coefs
-    if method == "prime_ma":
-        avg = fit_prime_ma(table, spec, kconfig)
-        return avg.predict(x_test), None
-    raise InvalidConfig(f"unknown method {method!r}")
+    # built per call, so each fitter is looked up in the module namespace
+    fitters = {
+        "prime": fit_prime,
+        "prime_ma": fit_prime_ma,
+        "cc": fit_cc,
+        "mean_impute": fit_mean_impute,
+    }
+    fit = fitters[method](table, spec, kconfig)
+    if isinstance(fit, AveragedFit):
+        return fit.predict(x_test), None
+    return predict(fit, x_test), fit.linear_coefs
 
 
 def _replication_chunk(

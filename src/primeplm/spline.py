@@ -8,20 +8,37 @@ knots yields L = J + d + 1 basis functions forming a partition of unity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientData, InvalidDegree, LengthMismatch, OutOfDomain
+from .errors import InsufficientData, InvalidDegree, OutOfDomain
 
-__all__ = ["SplineSpec", "BasisBlock", "make_spec", "eval_basis", "basis_matrix", "center_block"]
+__all__ = ["SplineSpec", "make_spec", "basis_matrix"]
 
 
 @dataclass(frozen=True)
 class SplineSpec:
+    """Degree d >= 1 and interior knots strictly increasing inside (0, 1)."""
+
     degree: int
     interior_knots: tuple[float, ...]
-    knot_vector: np.ndarray  # length L + degree + 1, boundary multiplicity degree + 1
+    # length L + degree + 1, boundary multiplicity degree + 1
+    knot_vector: np.ndarray = field(init=False, compare=False)
+
+    def __post_init__(self):
+        interior = tuple(float(v) for v in self.interior_knots)
+        if self.degree < 1:
+            raise InvalidDegree(f"degree must be >= 1, got {self.degree}")
+        if not np.all(np.diff([0.0, *interior, 1.0]) > 0.0):
+            raise InvalidDegree(
+                f"interior knots must increase strictly inside (0, 1), got {list(interior)}"
+            )
+        d = self.degree
+        object.__setattr__(self, "interior_knots", interior)
+        object.__setattr__(
+            self, "knot_vector", np.concatenate([np.zeros(d + 1), interior, np.ones(d + 1)])
+        )
 
     @property
     def basis_size(self) -> int:
@@ -40,8 +57,6 @@ def make_spec(
     (observed values only, caller's responsibility) and requires enough
     distinct points for the knots to be strictly inside (0, 1).
     """
-    if degree < 1:
-        raise InvalidDegree(f"degree must be >= 1, got {degree}")
     if n_interior < 0:
         raise InvalidDegree(f"interior knot count must be >= 0, got {n_interior}")
     if placement not in ("uniform", "quantile"):
@@ -65,13 +80,7 @@ def make_spec(
         if np.unique(knots).size < n_interior or knots.min() <= 0.0 or knots.max() >= 1.0:
             raise InsufficientData("quantile knots are tied or lie on the boundary")
         interior = tuple(knots.tolist())
-
-    t = np.concatenate([
-        np.zeros(degree + 1),
-        np.asarray(interior, dtype=float),
-        np.ones(degree + 1),
-    ])
-    return SplineSpec(degree=degree, interior_knots=interior, knot_vector=t)
+    return SplineSpec(degree=degree, interior_knots=interior)
 
 
 def basis_matrix(spec: SplineSpec, x: np.ndarray) -> np.ndarray:
@@ -112,35 +121,3 @@ def basis_matrix(spec: SplineSpec, x: np.ndarray) -> np.ndarray:
     for offset in range(d + 1):
         out[rows, span - d + offset] = vals[:, offset]
     return out
-
-
-def eval_basis(spec: SplineSpec, x: float) -> np.ndarray:
-    """Basis vector of length L at a single point in [0, 1]."""
-    return basis_matrix(spec, np.array([x]))[0]
-
-
-@dataclass(frozen=True)
-class BasisBlock:
-    """Rows of basis evaluations for one covariate, optionally centered."""
-
-    matrix: np.ndarray
-    column_means: np.ndarray | None = None
-    centered: bool = False
-
-
-def center_block(block: BasisBlock, means: np.ndarray | None = None) -> BasisBlock:
-    """Subtract column means (given, or computed from all rows).
-
-    Centering an already-centered block is a no-op, so re-applying with the
-    recorded means is idempotent.
-    """
-    if block.centered:
-        return block
-    L = block.matrix.shape[1]
-    if means is None:
-        means = block.matrix.mean(axis=0)
-    else:
-        means = np.asarray(means, dtype=float)
-        if means.shape != (L,):
-            raise LengthMismatch(f"means must have length {L}, got shape {means.shape}")
-    return BasisBlock(matrix=block.matrix - means, column_means=means, centered=True)

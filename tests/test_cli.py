@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from primeplm import cli, errors
 from primeplm.cli import REPLICATION_HEADER, SUMMARY_HEADER, main
 from primeplm.dataset import load_csv, load_structure
 from primeplm.prime_fit import fit_prime, load_fit, predict
@@ -64,6 +65,29 @@ def test_unreadable_data_is_usage_error(tmp_path, capsys):
     ])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+_NUMERICAL = (
+    errors.Underdetermined, errors.InsufficientCompleteCases, errors.SingularGram,
+    errors.LeverageOne, np.linalg.LinAlgError,
+)
+
+
+@pytest.mark.parametrize(
+    "error",
+    sorted(errors.PrimeError.__subclasses__(), key=lambda cls: cls.__name__)
+    + [np.linalg.LinAlgError],
+    ids=lambda cls: cls.__name__,
+)
+def test_exit_code_per_error_class(monkeypatch, capsys, error):
+    # usage 2, numerical 4, any other package error 3
+    def fail(args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "cmd_report", fail)
+    want = 2 if error is errors.InvalidConfig else 4 if error in _NUMERICAL else 3
+    assert main(["report", "summary.csv"]) == want
+    assert capsys.readouterr().err == "error: boom\n"
 
 
 def test_bad_bandwidth_and_projection_flags(tmp_path, capsys):
@@ -247,6 +271,35 @@ def test_predict_truncated_fit_file_is_data_error(tmp_path, capsys):
                "--out", str(tmp_path / "p.csv")])
     assert rc == 3
     assert "centering_means" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", [
+    {"normalization": {"u1": [0.5]}},
+    {"normalization": {"u1": [0.4, 0.4]}},
+    {"normalization": {"u1": [0.9, 0.1]}},
+    {"normalization": {"u1": [0.0, float("nan")]}},
+    {"normalization": {}},
+    {"normalization": {"u1": [0.0, 1.0], "w1": [0.0, 1.0]}},
+    {"spline": {"degree": 3, "interior_knots": [0.7, 0.3]}},
+    {"spline": {"degree": 3, "interior_knots": [0.3, 1.7]}},
+    {"spline": {"degree": 3, "interior_knots": [0.0, 0.5]}},
+], ids=[
+    "one-value-range", "empty-range", "reversed-range", "nan-range",
+    "no-range", "range-for-linear-column",
+    "reversed-knots", "knot-above-one", "knot-on-boundary",
+])
+def test_predict_rejects_malformed_fit_file(tmp_path, capsys, edit):
+    # two interior knots keep the coefficient shapes valid after the edits
+    payload = json.loads(run_fit(tmp_path, TOY, "--knots", "2").read_text())
+    payload.update(edit)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    capsys.readouterr()
+    rc = main(["predict", "--fit", str(bad), "--data", TOY,
+               "--out", str(tmp_path / "p.csv")])
+    assert rc == 3
+    assert "malformed fit file" in capsys.readouterr().err
+    assert not (tmp_path / "p.csv").exists()
 
 
 def test_predict_data_missing_columns(tmp_path, capsys):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from conftest import make_blockwise_table, make_random_table
+from conftest import make_blockwise_table
 from primeplm import (
     ModelStructure,
     ObservationTable,
@@ -12,6 +13,7 @@ from primeplm import (
     make_spec,
 )
 from primeplm.errors import (
+    DegenerateColumn,
     InsufficientCompleteCases,
     LengthMismatch,
     LeverageOne,
@@ -25,7 +27,6 @@ from primeplm.model_averaging import (
     cc_design,
     cv_weights,
     fit_candidate_full,
-    hat_diag,
     loo_residuals,
     predict_averaged,
 )
@@ -60,13 +61,13 @@ def grid_search_objective(Q, step=1e-3):
 
 def test_build_candidates():
     cands = build_candidates(("a", "b", "c"))
-    assert [c.name for c in cands] == ["a", "b", "c"]
+    assert [c.nonlinear for c in cands] == [("a",), ("b",), ("c",)]
     for c in cands:
-        assert c.structure.nonlinear == (c.name,)
-        assert c.name not in c.structure.linear
-        assert set(c.structure.linear) == {"a", "b", "c"} - {c.name}
+        assert isinstance(c, ModelStructure)
+        assert c.nonlinear[0] not in c.linear
+        assert set(c.linear) == {"a", "b", "c"} - set(c.nonlinear)
     # linear columns keep the original table order
-    assert cands[1].structure.linear == ("a", "c")
+    assert cands[1].linear == ("a", "c")
 
 
 def test_cc_design_shape_and_rank():
@@ -94,17 +95,20 @@ def test_cc_design_uses_complete_rows_only():
 
 
 def test_hat_diag_examples():
+    # an intercept-only design gives every unit leverage 1/n
     ones = np.ones((4, 1))
-    assert_allclose(hat_diag(ones), np.full(4, 0.25), atol=1e-14)
+    y = np.array([1.0, 2.0, 4.0, 9.0])
+    assert_allclose(loo_residuals(ones, y), (y - y.mean()) / (1.0 - 0.25), atol=1e-14)
 
     rng = np.random.default_rng(2)
     G = rng.normal(size=(20, 4))
-    expected = np.diag(G @ np.linalg.solve(G.T @ G, G.T))
-    assert_allclose(hat_diag(G), expected, atol=1e-10)
-    assert hat_diag(G).sum() == pytest.approx(4.0, abs=1e-10)
+    y = rng.normal(size=20)
+    hat = G @ np.linalg.solve(G.T @ G, G.T)
+    expected = (y - hat @ y) / (1.0 - np.diag(hat))
+    assert_allclose(loo_residuals(G, y), expected, atol=1e-10)
 
     with pytest.raises(SingularGram):
-        hat_diag(np.column_stack([ones, ones]))
+        loo_residuals(np.column_stack([ones, ones]), y[:4])
 
 
 def test_loo_mean_example():
@@ -182,6 +186,89 @@ def test_build_cv_matrix_consistency():
     for k, cand in enumerate(cands):
         G, rows = cc_design(table, cand, spec)
         assert_allclose(cv.matrix[:, k], loo_residuals(G, table.y[rows]), atol=1e-12)
+
+
+def two_factorization_cv(table, candidates, spec):
+    """The CV matrix from two factorizations per candidate: a QR for the
+    leverages and an SVD least squares solve for the residuals.  Returns
+    (matrix, leverages of the kept units, kept rows, dropped rows)."""
+    parts = []
+    for candidate in candidates:
+        G, rows = cc_design(table, candidate, spec)
+        y = table.y[rows]
+        q, r = np.linalg.qr(G, mode="reduced")
+        d = np.abs(np.diag(r))
+        if d.min() <= 1e-10 * d.max():
+            raise SingularGram("numerically singular")
+        coef, *_ = scipy.linalg.lstsq(G, y)
+        parts.append((y - G @ coef, (q * q).sum(axis=1)))
+    keep = np.logical_and.reduce([h < 1.0 - 1e-8 for _, h in parts])
+    if not keep.any():
+        raise InsufficientCompleteCases("every complete case has leverage ~ 1")
+    matrix = np.column_stack([resid[keep] / (1.0 - h[keep]) for resid, h in parts])
+    leverages = np.column_stack([h[keep] for _, h in parts])
+    return matrix, leverages, rows[keep], rows[~keep]
+
+
+def outlier_table(seed, n, k, missing_rate, outlier):
+    """c0 uniform, the rest normal.  With ``outlier`` the largest c0 value
+    (row 0, always complete) sits far above the others, so under cubic
+    splines with knots at 1/3 and 2/3 it is the only unit in the support
+    of the last basis function and has leverage 1 in candidate c0."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, k))
+    x[:, 0] = rng.uniform(0, 1, n)
+    if outlier:
+        x[:, 0] *= 0.6
+        x[0, 0] = 1.0
+    mask = rng.random((n, k)) >= missing_rate
+    mask[0] = True
+    y = np.sin(2 * np.pi * x[:, 0]) + x[:, 1:].sum(axis=1) + rng.normal(0, 0.3, n)
+    cols = tuple(f"c{i}" for i in range(k))
+    return ObservationTable(
+        y=y, x=np.where(mask, x, np.nan), mask=mask, columns=cols,
+        structure=ModelStructure(nonlinear=cols[:1], linear=cols[1:]),
+    )
+
+
+def assert_cv_matches_two_factorizations(table, spec):
+    candidates = build_candidates(table.columns)
+    try:
+        want, h, rows, dropped = two_factorization_cv(table, candidates, spec)
+    except (SingularGram, InsufficientCompleteCases, DegenerateColumn) as err:
+        with pytest.raises(type(err)):
+            build_cv_matrix(table, candidates, spec)
+        return None
+    cv = build_cv_matrix(table, candidates, spec)
+    assert_array_equal(cv.rows, rows)
+    assert_array_equal(cv.dropped, dropped)
+    # Both formulas share the leverages and divide a residual of size
+    # (1 - h) * e by 1 - h, so a rounding-level residual difference grows
+    # by 1 / (1 - h) in either; compare with that common factor taken out.
+    assert np.abs((cv.matrix - want) * (1.0 - h)).max() <= 1e-12 * np.abs(want).max()
+    return cv, want
+
+
+def test_build_cv_matrix_drops_the_leverage_one_unit():
+    table = outlier_table(seed=11, n=60, k=3, missing_rate=0.1, outlier=True)
+    cv, want = assert_cv_matches_two_factorizations(table, make_spec(3, 2))
+    assert_array_equal(cv.dropped, [0])
+    assert np.abs(cv.matrix - want).max() <= 1e-12 * np.abs(want).max()
+    assert "dropped 1 high-leverage" in " ".join(fit_prime_ma(table, make_spec(3, 2)).notes)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=12, max_value=120),
+    k=st.integers(min_value=2, max_value=5),
+    knots=st.integers(min_value=0, max_value=2),
+    missing_rate=st.sampled_from([0.0, 0.05, 0.15]),
+    outlier=st.booleans(),
+)
+def test_build_cv_matrix_matches_two_factorizations(seed, n, k, knots, missing_rate, outlier):
+    table = outlier_table(seed, n, k, missing_rate, outlier)
+    assert_cv_matches_two_factorizations(table, make_spec(3, knots))
 
 
 def test_build_cv_matrix_insufficient():

@@ -9,16 +9,12 @@ from scipy.special import comb
 from primeplm.errors import (
     InsufficientData,
     InvalidDegree,
-    LengthMismatch,
     OutOfDomain,
 )
-from primeplm.spline import (
-    BasisBlock,
-    basis_matrix,
-    center_block,
-    eval_basis,
-    make_spec,
-)
+from primeplm.dataset import ModelStructure, ObservationTable, build_pattern_index
+from primeplm.kernel_impute import KernelConfig
+from primeplm.prime_fit import assemble_design
+from primeplm.spline import SplineSpec, basis_matrix, make_spec
 
 
 def bernstein_row(x: float, d: int = 3) -> np.ndarray:
@@ -69,7 +65,7 @@ def test_make_spec_invalid():
 
 def test_bernstein_values_at_half():
     spec = make_spec()
-    assert_allclose(eval_basis(spec, 0.5), [0.125, 0.375, 0.375, 0.125], atol=1e-15)
+    assert_allclose(basis_matrix(spec, [0.5])[0], [0.125, 0.375, 0.375, 0.125], atol=1e-15)
     x = np.linspace(0, 1, 101)
     B = basis_matrix(spec, x)
     expected = np.array([bernstein_row(v) for v in x])
@@ -79,8 +75,8 @@ def test_bernstein_values_at_half():
 def test_boundary_rows():
     for degree, interior in [(1, 0), (2, 1), (3, 0), (3, 4)]:
         spec = make_spec(degree, interior)
-        first = eval_basis(spec, 0.0)
-        last = eval_basis(spec, 1.0)
+        first = basis_matrix(spec, [0.0])[0]
+        last = basis_matrix(spec, [1.0])[0]
         assert first[0] == 1.0 and np.all(first[1:] == 0.0)
         assert last[-1] == 1.0 and np.all(last[:-1] == 0.0)
 
@@ -104,7 +100,7 @@ def test_partition_of_unity_bulk():
 )
 def test_partition_of_unity_hypothesis(x, degree, interior):
     spec = make_spec(degree, interior)
-    row = eval_basis(spec, x)
+    row = basis_matrix(spec, [x])[0]
     assert row.sum() == pytest.approx(1.0, abs=1e-10)
     assert np.all(row >= 0.0)
 
@@ -149,42 +145,35 @@ def test_greville_linear_reproduction():
 def test_out_of_domain():
     spec = make_spec()
     with pytest.raises(OutOfDomain):
-        eval_basis(spec, -0.1)
+        basis_matrix(spec, [-0.1])[0]
     with pytest.raises(OutOfDomain):
         basis_matrix(spec, np.array([0.2, 1.1]))
     with pytest.raises(OutOfDomain):
         basis_matrix(spec, np.array([0.2, np.nan]))
 
 
-def test_eval_basis_matches_matrix():
-    spec = make_spec(2, 3)
-    for v in (0.0, 0.31, 0.5, 0.99, 1.0):
-        assert_array_equal(eval_basis(spec, v), basis_matrix(spec, np.array([v]))[0])
-
-
-def test_center_block_two_rows():
-    block = BasisBlock(matrix=np.array([[1.0, 0.0], [0.0, 1.0]]))
-    centered = center_block(block)
-    assert_allclose(centered.matrix, [[0.5, -0.5], [-0.5, 0.5]])
-    assert_allclose(centered.column_means, [0.5, 0.5])
-    assert centered.centered
-    # idempotent: centering a centered block changes nothing
-    again = center_block(centered)
-    assert_array_equal(again.matrix, centered.matrix)
-    assert_array_equal(again.column_means, centered.column_means)
-
-
-def test_center_block_external_means():
-    block = BasisBlock(matrix=np.array([[1.0, 2.0], [3.0, 4.0]]))
-    centered = center_block(block, means=np.array([1.0, 1.0]))
-    assert_allclose(centered.matrix, [[0.0, 1.0], [2.0, 3.0]])
-    with pytest.raises(LengthMismatch):
-        center_block(block, means=np.zeros(3))
+def test_spline_spec_validates_its_knots():
+    spec = SplineSpec(2, [0.25, 0.5])
+    assert spec.interior_knots == (0.25, 0.5)
+    assert_array_equal(spec.knot_vector, [0, 0, 0, 0.25, 0.5, 1, 1, 1])
+    assert spec.basis_size == 5
+    for degree, knots in [
+        (0, ()), (3, (0.5, 0.5)), (3, (0.6, 0.4)), (3, (0.0,)), (3, (1.0,)),
+        (3, (0.3, 1.7)), (3, (-0.2,)), (3, (float("nan"),)),
+    ]:
+        with pytest.raises(InvalidDegree):
+            SplineSpec(degree, knots)
 
 
 def test_centered_columns_mean_zero():
+    # assemble_design centres each basis block at its observed-row means
     rng = np.random.default_rng(2)
     spec = make_spec(3, 2)
-    B = basis_matrix(spec, rng.uniform(0, 1, 50))
-    centered = center_block(BasisBlock(matrix=B))
-    assert_allclose(centered.matrix.mean(axis=0), 0.0, atol=1e-14)
+    x = rng.uniform(0, 1, (50, 1))
+    table = ObservationTable(
+        y=rng.normal(size=50), x=x, mask=np.ones(x.shape, dtype=bool),
+        columns=("u",), structure=ModelStructure(nonlinear=("u",), linear=()),
+    )
+    design = assemble_design(table, build_pattern_index(table), spec, KernelConfig())
+    assert_allclose(design.centering_means[0], basis_matrix(spec, x[:, 0]).mean(axis=0))
+    assert_allclose(design.matrix[:, 1:].mean(axis=0), 0.0, atol=1e-14)
