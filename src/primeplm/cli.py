@@ -488,7 +488,8 @@ def _add_kernel_flags(sub) -> None:
     sub.add_argument("--knots", type=int, default=0,
                      help="number of interior knots (default 0)")
     sub.add_argument("--bandwidth", default="silverman",
-                     help="'silverman' or 'fixed:h1,h2,...' per covariate column")
+                     help="'silverman' or 'fixed:h1,h2,...', one per covariate column "
+                          "in its raw units")
     sub.add_argument("--projection", default="none",
                      help="'none' or 'B:dist' with dist standard_normal|scaled_uniform")
     sub.add_argument("--projection-threshold", type=int, default=4,

@@ -54,7 +54,8 @@ class KernelConfig:
     """Bandwidth and projection settings for donor weighting.
 
     bandwidth "silverman" derives one bandwidth per covariate column from
-    its observed values; "fixed" takes fixed_h, one entry per table column.
+    its observed values; "fixed" takes fixed_h, one entry per table column in
+    that column's raw units (the fits build the kernel on the raw table).
     projection "resampled" replaces the product kernel by the geometric
     mean of n_projections univariate kernels along random directions
     whenever a unit observes more than projection_threshold covariates.
@@ -354,14 +355,15 @@ class ImputationPlan:
             return donors, None
         return donors, w[0] / w[0].sum()
 
-    def impute(self, values: dict[int, np.ndarray], target: int | None = None) -> None:
-        """Fill the missing rows of each ``values[j]`` in place.
+    def impute(self, values: dict[int, tuple], target: int | None = None) -> None:
+        """Fill the missing rows of each array in ``values[j]`` in place.
 
-        ``values`` maps a column position to an (n, d) array whose rows are
-        set wherever column j is observed.  A missing row becomes the
-        kernel-weighted average of its donors' rows, or the mean of the
-        observed rows when there is no donor or every weight underflows.
-        With ``target`` set, only that unit's cells are filled.
+        ``values`` maps a column position to a tuple of (n, d) arrays whose
+        rows are set wherever column j is observed; all of them are filled
+        with the same weights.  A missing row becomes the kernel-weighted
+        average of its donors' rows, or the mean of the observed rows when
+        there is no donor or every weight underflows.  With ``target`` set,
+        only that unit's cells are filled.
         """
         mask = self.table.mask
         patterns = self._patterns.values()
@@ -369,29 +371,31 @@ class ImputationPlan:
             if mask[target, list(values)].any():
                 raise InvalidConfig(f"unit {target} observes a column to impute")
             patterns = [self._patterns[mask[target].tobytes()]]
-        columns = [j for j in values if not mask[:, j].all()]
-        for j in columns:
+        arrays = {j: v for j, v in values.items() if not mask[:, j].all()}
+        for j in arrays:
             if not mask[:, j].any():
                 raise DegenerateColumn(
                     f"column {self.table.columns[j]!r} is never observed; nothing to impute"
                 )
-        fallback = {j: values[j][mask[:, j]].mean(axis=0) for j in columns}
+        fallback = {j: [out[mask[:, j]].mean(axis=0) for out in arrays[j]] for j in arrays}
         no_donor, underflow = Counter(), Counter()
         for pp in patterns:
             targets = pp.targets if target is None else np.array([target])
-            todo = [j for j in pp.missing if j in fallback]
+            todo = [j for j in pp.missing if j in arrays]
             for j, chunk, donors, w, kept in self._weights(pp, targets, todo):
-                out = values[j]
+                for out, mean in zip(arrays[j], fallback[j]):
+                    if w is None:
+                        out[chunk] = mean
+                        continue
+                    # one product per target row, so chunking never changes a value
+                    total = w.sum(axis=1)[:, None]
+                    out[chunk[kept]] = np.matmul(w[:, None, :], out[donors])[:, 0, :] / total
+                    out[chunk[~kept]] = mean
                 if w is None:
-                    out[chunk] = fallback[j]
                     no_donor[j] += chunk.size
-                    continue
-                # one product per target row, so chunking never changes a value
-                total = w.sum(axis=1)[:, None]
-                out[chunk[kept]] = np.matmul(w[:, None, :], out[donors])[:, 0, :] / total
-                out[chunk[~kept]] = fallback[j]
-                underflow[j] += chunk.size - w.shape[0]
-        for j in columns:  # counters keyed in column order
+                else:
+                    underflow[j] += chunk.size - w.shape[0]
+        for j in arrays:  # counters keyed in the order of ``values``
             name = self.table.columns[j]
             if no_donor[j]:
                 self.diagnostics.no_donor_fallbacks[name] += no_donor[j]
@@ -409,7 +413,7 @@ def impute_linear_value(
 ) -> float:
     """NW estimate of the missing linear covariate j of unit i."""
     column = np.array(table.x[:, j : j + 1])
-    ImputationPlan(table, pattern, config, diagnostics).impute({j: column}, target=i)
+    ImputationPlan(table, pattern, config, diagnostics).impute({j: (column,)}, target=i)
     return float(column[i, 0])
 
 
@@ -426,5 +430,5 @@ def impute_basis_row(
     observed = table.mask[:, j]
     block = np.zeros((table.n, spec.basis_size))
     block[observed] = basis_matrix(spec, table.x[observed, j])
-    ImputationPlan(table, pattern, config, diagnostics).impute({j: block}, target=i)
+    ImputationPlan(table, pattern, config, diagnostics).impute({j: (block,)}, target=i)
     return block[i]

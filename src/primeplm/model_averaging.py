@@ -8,7 +8,10 @@ candidate k's least squares fit on the complete cases.  Each candidate
 design is factored by one reduced QR, which gives both the residuals and
 the leverages of the hat-diagonal shortcut (Hansen & Racine 2012), so no
 unit is refitted.  Final predictions average the full-data candidate fits
-under those weights.
+under those weights.  Every column is nonlinear in one candidate and linear
+in the others, so each is imputed once, values and basis rows together, by
+one plan on the raw table, and every candidate's design is stacked from
+those columns.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .errors import (
     SingularGram,
 )
 from .kernel_impute import KernelConfig
-from .prime_fit import PrimeFit, fit_prime, predict
+from .prime_fit import PrimeFit, _Imputed, _impute_every_column, _solve, predict
 from .spline import SplineSpec, basis_matrix, make_spec
 
 __all__ = [
@@ -57,29 +60,26 @@ def build_candidates(columns) -> list[ModelStructure]:
     ]
 
 
-def fit_candidate_full(
-    table: ObservationTable,
-    candidate: ModelStructure,
-    spec: SplineSpec,
-    config: KernelConfig,
-) -> PrimeFit:
-    """Full-data fit of one candidate (used for the averaged prediction)."""
-    return fit_prime(table.with_structure(candidate), spec, config)
+def fit_candidate_full(table, candidate, config, imputed: _Imputed, n_complete: int) -> PrimeFit:
+    """Full-data fit of one candidate (used for the averaged prediction),
+    its design stacked from the imputed columns all candidates share."""
+    table = table.with_structure(candidate)
+    design = imputed.design(table)
+    return _solve(table, imputed.spec, config, imputed.normalization, design, n_complete)
 
 
 def cc_design(
     table: ObservationTable,
     candidate: ModelStructure,
     spec: SplineSpec,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate design on the complete-case rows.
+    rows: np.ndarray,
+) -> np.ndarray:
+    """Candidate design on the complete-case ``rows``.
 
-    Returns (G, rows).  G stacks the uncentered basis block for the
-    candidate's nonlinear column (a partition of unity, so it already
-    spans the constant and no intercept column is added) with the
-    remaining covariates as given.
+    Stacks the uncentered basis block for the candidate's nonlinear column
+    (a partition of unity, so it already spans the constant and no
+    intercept column is added) with the remaining covariates as given.
     """
-    rows = complete_case_subset(table)
     if rows.size == 0:
         raise InsufficientCompleteCases("no complete rows for the candidate design")
     name = candidate.nonlinear[0]
@@ -89,7 +89,7 @@ def cc_design(
         raise DegenerateColumn(f"candidate column {name!r} is constant on the complete cases")
     block = basis_matrix(spec, (vals - lo) / (hi - lo))
     others = [table.x[rows, table.position(c)][:, None] for c in candidate.linear]
-    return np.hstack([block, *others]), rows
+    return np.hstack([block, *others])
 
 
 def _residuals_and_leverages(G: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -132,10 +132,11 @@ def build_cv_matrix(
 ) -> CvMatrix:
     """One pass over candidates; units with leverage >= 1 - 1e-8 in any
     candidate are dropped from every column (same unit set throughout)."""
-    parts = []
-    for candidate in candidates:
-        G, rows = cc_design(table, candidate, spec)
-        parts.append(_residuals_and_leverages(G, table.y[rows]))
+    rows = complete_case_subset(table)
+    parts = [
+        _residuals_and_leverages(cc_design(table, candidate, spec, rows), table.y[rows])
+        for candidate in candidates
+    ]
     keep = np.logical_and.reduce([h < 1.0 - _LEVERAGE_TOL for _, h in parts])
     if not keep.any():
         raise InsufficientCompleteCases("every complete case has leverage ~ 1")
@@ -228,9 +229,10 @@ def fit_prime_ma(
     spec = spec or make_spec()
     config = config or KernelConfig()
     candidates = build_candidates(table.columns)
-    fits = tuple(fit_candidate_full(table, c, spec, config) for c in candidates)
-    n_cov = len(table.columns)
+    imputed = _impute_every_column(table, spec, config)
     rows = complete_case_subset(table)
+    fits = tuple(fit_candidate_full(table, c, config, imputed, rows.size) for c in candidates)
+    n_cov = len(table.columns)
     threshold = 1 + spec.basis_size + (n_cov - 1)
     notes: list[str] = []
     if rows.size < threshold:

@@ -12,6 +12,7 @@ coefficients are reproducible and the curve estimates are unique.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import os
@@ -101,42 +102,71 @@ class PrimeFit:
     diagnostics: FitDiagnostics
 
 
+@dataclass(frozen=True)
+class _Imputed:
+    """A table's columns, every missing row imputed by one ImputationPlan: (n, 1)
+    values and (n, L) basis rows by position, and the blocks' observed-row means."""
+
+    values: dict[int, np.ndarray]
+    basis: dict[int, np.ndarray]
+    means: dict[int, np.ndarray]
+    spec: SplineSpec
+    normalization: NormalizationMap
+    imputation: ImputationDiagnostics
+
+    def design(self, table: ObservationTable) -> DesignMatrix:
+        """The design of ``table.structure``, stacked from the imputed columns."""
+        L = self.spec.basis_size
+        means = np.array([self.means[pos] for pos in table.nonlinear_pos]).reshape(-1, L)
+        pieces = [np.ones((table.n, 1))]
+        pieces += [self.basis[pos] - m for pos, m in zip(table.nonlinear_pos, means)]
+        pieces += [self.values[pos] for pos in table.linear_pos]
+        labels = ["intercept"]
+        labels += [f"{name}:b{l + 1}" for name in table.structure.nonlinear for l in range(L)]
+        labels += table.structure.linear
+        imputation = copy.deepcopy(self.imputation)  # every design owns its counters
+        return DesignMatrix(np.hstack(pieces), tuple(labels), means, imputation)
+
+
+def _impute(table, pattern, spec, config, normalization, nonlinear, linear) -> _Imputed:
+    """Impute the columns at ``nonlinear`` as basis rows of their values under
+    ``normalization`` and those at ``linear`` as values, by one ImputationPlan
+    on ``table`` as given.  A column asked for both goes through the plan
+    once, so its values and basis rows share the donor weights."""
+    basis = {}
+    for pos in nonlinear:
+        observed = table.mask[:, pos]
+        z = normalization.apply(table.columns[pos], table.x[observed, pos], clamp=False)
+        basis[pos] = np.zeros((table.n, spec.basis_size))
+        basis[pos][observed] = basis_matrix(spec, z)
+    values = {pos: np.array(table.x[:, pos : pos + 1]) for pos in linear}
+    plan = ImputationPlan(table, pattern, config)
+    plan.impute({j: tuple(d[j] for d in (basis, values) if j in d) for j in {**basis, **values}})
+    means = {pos: basis[pos][table.mask[:, pos]].mean(axis=0) for pos in basis}
+    return _Imputed(values, basis, means, spec, normalization, plan.diagnostics)
+
+
+def _impute_every_column(table, spec, config) -> _Imputed:
+    """Every column as values and as basis rows, by one plan on the raw table."""
+    every = table.with_structure(ModelStructure(table.columns, ()))
+    _, nmap = minmax_normalize(every)
+    pos = every.nonlinear_pos
+    return _impute(every, build_pattern_index(every), spec, config, nmap, pos, pos)
+
+
 def assemble_design(
     table: ObservationTable,
     pattern: PatternIndex,
     spec: SplineSpec,
     config: KernelConfig,
+    normalization: NormalizationMap | None = None,
 ) -> DesignMatrix:
-    """Build the n x (1 + p*L + q) design; nonlinear columns must already
-    be normalized to [0, 1]."""
-    n, L = table.n, spec.basis_size
-    # observed rows now, missing rows filled by the plan: basis rows for a
-    # nonlinear column, values for a linear one
-    values = {}
-    for pos in table.nonlinear_pos:
-        observed = table.mask[:, pos]
-        values[pos] = np.zeros((n, L))
-        values[pos][observed] = basis_matrix(spec, table.x[observed, pos])
-    for pos in table.linear_pos:
-        values[pos] = np.array(table.x[:, pos : pos + 1])
-    plan = ImputationPlan(table, pattern, config)
-    plan.impute(values)
-
-    means = np.array([
-        values[pos][table.mask[:, pos]].mean(axis=0) for pos in table.nonlinear_pos
-    ]).reshape(-1, L)
-    pieces = [np.ones((n, 1))]
-    pieces += [values[pos] - m for pos, m in zip(table.nonlinear_pos, means)]
-    pieces += [values[pos] for pos in table.linear_pos]
-    labels = ["intercept"]
-    labels += [f"{name}:b{l + 1}" for name in table.structure.nonlinear for l in range(L)]
-    labels += table.structure.linear
-    return DesignMatrix(
-        matrix=np.hstack(pieces),
-        labels=tuple(labels),
-        centering_means=means,
-        imputation=plan.diagnostics,
-    )
+    """Build the n x (1 + p*L + q) design.  The kernel works on the table as given;
+    ``normalization`` maps the nonlinear columns onto [0, 1] for the spline
+    basis, and without it they must already lie there."""
+    nmap = normalization or NormalizationMap({c: (0.0, 1.0) for c in table.structure.nonlinear})
+    nonlinear, linear = table.nonlinear_pos, table.linear_pos
+    return _impute(table, pattern, spec, config, nmap, nonlinear, linear).design(table)
 
 
 def solve_least_squares(
@@ -165,12 +195,15 @@ def _fit_pipeline(
     spec: SplineSpec,
     config: KernelConfig,
 ) -> PrimeFit:
-    normalized, nmap = minmax_normalize(table)
-    pattern = build_pattern_index(normalized)
-    design = assemble_design(normalized, pattern, spec, config)
-    diagnostics = FitDiagnostics(imputation=design.imputation)
-    coef = solve_least_squares(design.matrix, normalized.y, diagnostics)
-    diagnostics.n_complete = int(complete_case_subset(table).size)
+    _, nmap = minmax_normalize(table)
+    design = assemble_design(table, build_pattern_index(table), spec, config, nmap)
+    return _solve(table, spec, config, nmap, design, int(complete_case_subset(table).size))
+
+
+def _solve(table, spec, config, nmap, design, n_complete) -> PrimeFit:
+    """Least squares on ``design``, read back as the fit of ``table.structure``."""
+    diagnostics = FitDiagnostics(n_complete=n_complete, imputation=design.imputation)
+    coef = solve_least_squares(design.matrix, table.y, diagnostics)
 
     p, q, L = table.structure.p, table.structure.q, spec.basis_size
     if diagnostics.rank_deficient:
@@ -190,7 +223,7 @@ def _fit_pipeline(
         columns=table.columns,
         spec=spec,
         kernel_config=config,
-        normalization=nmap,
+        normalization=NormalizationMap({c: nmap.ranges[c] for c in table.structure.nonlinear}),
         intercept=intercept,
         curve_coefs=curve,
         linear_coefs=linear,

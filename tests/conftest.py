@@ -111,7 +111,7 @@ def imputed_columns(table, pattern, config, spec=None):
             values[pos][observed] = basis_matrix(spec, table.x[observed, pos])
         else:
             values[pos] = np.array(table.x[:, pos : pos + 1])
-    ImputationPlan(table, pattern, config).impute(values)
+    ImputationPlan(table, pattern, config).impute({pos: (v,) for pos, v in values.items()})
     return values
 
 

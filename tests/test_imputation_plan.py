@@ -243,9 +243,9 @@ def test_underflow_rule_uses_absolute_log_weights():
     plan = ImputationPlan(table, build_pattern_index(table),
                           KernelConfig(bandwidth="fixed", fixed_h=(0.02, 1.0)))
     assert plan._kernel(plan._patterns[table.mask[0].tobytes()]).product
-    values = {1: np.array(x[:, 1:])}
+    values = {1: (np.array(x[:, 1:]),)}
     plan.impute(values)
-    assert values[1][0, 0] == pytest.approx(7.0)
+    assert values[1][0][0, 0] == pytest.approx(7.0)
     assert plan.diagnostics.underflow_fallbacks == Counter({"b": 1})
 
 
@@ -325,7 +325,7 @@ def test_degenerate_projected_bandwidth_falls_back_with_pattern_label():
     )
     config = KernelConfig(projection="resampled", n_projections=2, projection_threshold=2)
     plan = ImputationPlan(table, build_pattern_index(table), config)
-    values = {3: np.array(table.x[:, 3:4])}
+    values = {3: (np.array(table.x[:, 3:4]),)}
     with pytest.warns(DegenerateSampleWarning, match="pattern:a,b,c"):
         plan.impute(values)
     with warnings.catch_warnings():
@@ -338,7 +338,7 @@ def test_degenerate_projected_bandwidth_falls_back_with_pattern_label():
     assert pooled.size == 12 and pooled.std() == 0.0
     # every donor sits at the target, so weights are uniform
     assert_allclose(w, [0.5, 0.5])
-    assert_allclose(values[3][2:, 0], [1.5, 1.5])
+    assert_allclose(values[3][0][2:, 0], [1.5, 1.5])
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ from conftest import make_blockwise_table
 from primeplm import (
     ModelStructure,
     ObservationTable,
+    fit_prime,
     fit_prime_ma,
     make_spec,
 )
@@ -26,7 +27,6 @@ from primeplm.model_averaging import (
     build_cv_matrix,
     cc_design,
     cv_weights,
-    fit_candidate_full,
     loo_residuals,
     predict_averaged,
 )
@@ -75,8 +75,7 @@ def test_cc_design_shape_and_rank():
     table = complete_table(rng, n=30, k=4)
     spec = make_spec()
     cands = build_candidates(table.columns)
-    G, rows = cc_design(table, cands[0], spec)
-    assert_array_equal(rows, np.arange(30))
+    G = cc_design(table, cands[0], spec, np.arange(30))
     # uncentered basis block (4 columns) plus the three other covariates
     assert G.shape == (30, spec.basis_size + 3)
     assert np.linalg.matrix_rank(G) == G.shape[1]
@@ -88,8 +87,8 @@ def test_cc_design_uses_complete_rows_only():
     table = make_blockwise_table(n=60)
     spec = make_spec()
     cands = build_candidates(table.columns)
-    G, rows = cc_design(table, cands[0], spec)
-    assert_array_equal(rows, np.flatnonzero(table.mask.all(axis=1)))
+    rows = np.flatnonzero(table.mask.all(axis=1))
+    G = cc_design(table, cands[0], spec, rows)
     assert G.shape == (12, spec.basis_size + 7)
     assert np.all(np.isfinite(G))
 
@@ -183,9 +182,10 @@ def test_build_cv_matrix_consistency():
     assert cv.matrix.shape == (35, 4)
     assert cv.dropped.size == 0
     assert list(cv.candidates) == list(table.columns)
+    assert_array_equal(cv.rows, np.arange(35))
     for k, cand in enumerate(cands):
-        G, rows = cc_design(table, cand, spec)
-        assert_allclose(cv.matrix[:, k], loo_residuals(G, table.y[rows]), atol=1e-12)
+        G = cc_design(table, cand, spec, cv.rows)
+        assert_allclose(cv.matrix[:, k], loo_residuals(G, table.y), atol=1e-12)
 
 
 def two_factorization_cv(table, candidates, spec):
@@ -193,8 +193,9 @@ def two_factorization_cv(table, candidates, spec):
     leverages and an SVD least squares solve for the residuals.  Returns
     (matrix, leverages of the kept units, kept rows, dropped rows)."""
     parts = []
+    rows = np.flatnonzero(table.mask.all(axis=1))
     for candidate in candidates:
-        G, rows = cc_design(table, candidate, spec)
+        G = cc_design(table, candidate, spec, rows)
         y = table.y[rows]
         q, r = np.linalg.qr(G, mode="reduced")
         d = np.abs(np.diag(r))
@@ -284,7 +285,7 @@ def test_predict_averaged_degenerate_and_mixture():
     spec = make_spec()
     config = KernelConfig()
     cands = build_candidates(table.columns)
-    fits = [fit_candidate_full(table, c, spec, config) for c in cands]
+    fits = [fit_prime(table.with_structure(c), spec, config) for c in cands]
     rows = table.x[:7]
 
     e0 = np.zeros(3)

@@ -28,7 +28,8 @@ from primeplm.errors import (
     Underdetermined,
     UnknownColumn,
 )
-from primeplm.kernel_impute import KernelConfig
+from primeplm import prime_fit
+from primeplm.kernel_impute import KernelConfig, product_kernel_weight
 from primeplm.prime_fit import FitDiagnostics, assemble_design, solve_least_squares
 
 
@@ -94,6 +95,56 @@ def test_assemble_design_pattern_fixture():
     # observed linear entries pass through untouched
     obs = normalized.mask[:, 3]
     assert_array_equal(design.matrix[obs, 13], normalized.x[obs, 3])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_product_kernel_design_is_scale_invariant(seed):
+    # Silverman bandwidths scale with their columns, so the product kernel
+    # gives the same weights on the raw table as on the normalized one
+    rng = np.random.default_rng(seed)
+    base = make_random_table(rng, n=80, p=2, q=2, missing_rate=0.3)
+    x = base.x * [200.0, 1e-3, 1.0, 1.0] + [-50.0, 3.0, 0.0, 0.0]
+    raw = ObservationTable(base.y, x, base.mask, base.columns, base.structure)
+    normalized, nmap = minmax_normalize(raw)
+    pattern = build_pattern_index(raw)
+    spec, config = make_spec(3, 1), KernelConfig(seed=seed)
+    got = assemble_design(raw, pattern, spec, config, nmap)
+    want = assemble_design(normalized, pattern, spec, config)
+    assert_allclose(got.matrix, want.matrix, rtol=0, atol=1e-12 * np.abs(want.matrix).max())
+    assert_allclose(got.centering_means, want.centering_means, rtol=0, atol=1e-12)
+    assert got.imputation == want.imputation
+
+
+def test_fixed_bandwidth_is_in_raw_units_under_every_structure(monkeypatch):
+    # column a spans [0, 10]: read in [0, 1] units its bandwidth would be ten
+    # times wider whenever a is the nonlinear column
+    rng = np.random.default_rng(30)
+    n = 60
+    x = np.column_stack([rng.uniform(0, 10, n), rng.uniform(0, 1, n), rng.normal(0, 2, n)])
+    mask = rng.uniform(size=x.shape) >= 0.25
+    mask[:2] = True
+    h = np.array([0.8, 0.1, 0.5])
+    table = ObservationTable(
+        y=rng.normal(size=n), x=np.where(mask, x, np.nan), mask=mask, columns=("a", "b", "c"),
+        structure=ModelStructure(nonlinear=("a",), linear=("b", "c")),
+    )
+    designs = []
+    real = prime_fit.solve_least_squares
+    monkeypatch.setattr(
+        prime_fit, "solve_least_squares",
+        lambda matrix, y, diagnostics=None: designs.append(matrix) or real(matrix, y, diagnostics),
+    )
+    config = KernelConfig(bandwidth="fixed", fixed_h=tuple(h))
+    fit_prime(table, make_spec(), config)
+    fit_prime(table.with_structure(ModelStructure(("b",), ("a", "c"))), make_spec(), config)
+    # c is the last linear column of both structures
+    got = [design[:, -1] for design in designs]
+    assert_array_equal(got[0], got[1])
+    for i in np.flatnonzero(~mask[:, 2]):
+        cond = np.flatnonzero(mask[i])
+        donors = np.flatnonzero(mask[:, 2] & mask[:, cond].all(axis=1))
+        w = np.array([product_kernel_weight(x[d, cond] - x[i, cond], h[cond]) for d in donors])
+        assert got[0][i] == pytest.approx(w @ x[donors, 2] / w.sum(), rel=1e-12)
 
 
 def test_solve_exact_system():

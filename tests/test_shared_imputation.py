@@ -1,0 +1,150 @@
+"""fit_prime_ma's shared imputation against one fit_prime per candidate.
+
+fit_prime_ma imputes every incomplete column once, values and basis rows
+with one set of donor weights from one plan on the raw table, and stacks
+each candidate's design from those columns.  Each candidate fit must equal
+fit_prime on the table under that candidate's structure: the same
+coefficients, predictions, fallback counters and warnings.
+"""
+
+import warnings
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose
+
+from primeplm import (
+    ModelStructure,
+    ObservationTable,
+    build_candidates,
+    fit_prime,
+    fit_prime_ma,
+    make_spec,
+    predict,
+)
+from primeplm.errors import DegenerateSampleWarning
+from primeplm.kernel_impute import KernelConfig
+
+RTOL = 1e-12
+
+
+def scaled_table(seed, n, k, missing_rate, mask=None):
+    """Continuous columns on unequal raw scales; rows 0 and 1 complete
+    unless ``mask`` is given."""
+    rng = np.random.default_rng(seed)
+    scales = rng.choice([1e-2, 1.0, 50.0], size=k)
+    x = rng.normal(size=(n, k)) * scales + rng.normal(size=k) * scales
+    x[:, 0] = rng.uniform(0.0, 1.0, n)
+    if mask is None:
+        mask = rng.random((n, k)) >= missing_rate
+        mask[:2] = True
+    y = np.sin(2 * np.pi * x[:, 0]) + (x[:, 1:] / scales[1:]).sum(axis=1)
+    cols = tuple(f"c{i}" for i in range(k))
+    table = ObservationTable(
+        y=y + rng.normal(0.0, 0.3, n), x=np.where(mask, x, np.nan), mask=mask, columns=cols,
+        structure=ModelStructure(nonlinear=cols[:1], linear=cols[1:]),
+    )
+    return table, scales
+
+
+def with_warnings(fn, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    return out, [str(w.message) for w in caught if issubclass(w.category, DegenerateSampleWarning)]
+
+
+def coefs(fit):
+    return np.concatenate([[fit.intercept], fit.curve_coefs.ravel(), fit.linear_coefs])
+
+
+def assert_close(got, want):
+    assert_allclose(got, want, rtol=0, atol=RTOL * np.abs(want).max())
+
+
+def assert_candidates_match_fit_prime(table, spec, config):
+    """Returns the candidate fits' fallback and warning totals."""
+    avg, warned = with_warnings(fit_prime_ma, table, spec, config)
+    rows = np.random.default_rng(0).uniform(
+        np.nanmin(table.x, axis=0), np.nanmax(table.x, axis=0), size=(25, len(table.columns))
+    )
+    for candidate, fit in zip(build_candidates(table.columns), avg.fits):
+        want, want_warned = with_warnings(fit_prime, table.with_structure(candidate), spec, config)
+        assert fit.structure == candidate
+        assert fit.normalization == want.normalization
+        assert_close(coefs(fit), coefs(want))
+        assert_close(fit.centering_means, want.centering_means)
+        assert_close(predict(fit, rows), predict(want, rows))
+        got_diag, want_diag = fit.diagnostics, want.diagnostics
+        assert got_diag.imputation == want_diag.imputation
+        assert (got_diag.n_complete, got_diag.rank, got_diag.notes) == (
+            want_diag.n_complete, want_diag.rank, want_diag.notes
+        )
+        assert warned == want_warned
+    return avg.fits[0].diagnostics.imputation.total_fallbacks, len(warned)
+
+
+@st.composite
+def configs(draw, scales):
+    seed = draw(st.integers(0, 2**16))
+    if draw(st.booleans()):
+        # raw units: a small fraction of a column's scale forces underflow
+        fractions = draw(st.lists(st.sampled_from([1e-3, 0.3, 2.0]),
+                                  min_size=len(scales), max_size=len(scales)))
+        kw = dict(bandwidth="fixed", fixed_h=tuple(f * s for f, s in zip(fractions, scales)))
+    else:
+        kw = dict(bandwidth="silverman")
+    if draw(st.booleans()):
+        b = draw(st.integers(1, 2))
+        kw.update(projection="resampled", n_projections=b, projection_threshold=b,
+                  projection_dist=draw(st.sampled_from(["standard_normal", "scaled_uniform"])))
+    return KernelConfig(seed=seed, **kw)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(20, 60),
+    k=st.integers(2, 4),
+    knots=st.integers(0, 1),
+    missing_rate=st.sampled_from([0.0, 0.1, 0.25, 0.4]),
+    data=st.data(),
+)
+def test_candidate_fits_equal_fit_prime(seed, n, k, knots, missing_rate, data):
+    table, scales = scaled_table(seed, n, k, missing_rate)
+    config = data.draw(configs(scales))
+    assert_candidates_match_fit_prime(table, make_spec(3, knots), config)
+
+
+def test_candidate_fits_equal_fit_prime_with_fallbacks_and_warnings():
+    # only rows 0 and 1 observe c0 and c1 together, and no row is complete:
+    # row 1 (pattern c0,c1) has one donor for c2 and none for c3, and under
+    # one projection its pooled sample is a single difference, so its
+    # projected bandwidth is degenerate; a tiny fixed bandwidth makes every
+    # log-weight of the other patterns underflow
+    mask = np.random.default_rng(3).random((40, 4)) >= 0.4
+    mask[mask[:, 0] & mask[:, 1], 1] = False
+    mask[0] = [True, True, True, False]
+    mask[1] = [True, True, False, False]
+    table, scales = scaled_table(seed=3, n=40, k=4, missing_rate=None, mask=mask)
+    fallbacks, warned = 0, 0
+    for config in (
+        KernelConfig(bandwidth="fixed", fixed_h=tuple(1e-4 * scales)),
+        KernelConfig(projection="resampled", n_projections=1, projection_threshold=1, seed=3),
+    ):
+        got = assert_candidates_match_fit_prime(table, make_spec(), config)
+        fallbacks, warned = fallbacks + got[0], warned + got[1]
+    assert fallbacks > 0 and warned > 0
+
+
+def test_candidate_diagnostics_are_not_shared():
+    table, _ = scaled_table(seed=4, n=40, k=3, missing_rate=0.3)
+    avg = fit_prime_ma(table, make_spec(), KernelConfig(bandwidth="fixed", fixed_h=(1e-4,) * 3))
+    counters = [fit.diagnostics.imputation for fit in avg.fits]
+    before = [dict(c.underflow_fallbacks) for c in counters[1:]]
+    assert before[0]
+    counters[0].underflow_fallbacks["c1"] += 100
+    counters[0].no_donor_fallbacks.clear()
+    assert [dict(c.underflow_fallbacks) for c in counters[1:]] == before
+    assert len({id(c) for c in counters}) == len(counters)
