@@ -18,14 +18,12 @@ import numpy as np
 
 from . import __version__
 from ._kv import read_kv_file
-from .dataset import ModelStructure, load_csv, load_structure, minmax_normalize
+from .dataset import load_csv, load_rows, load_structure, minmax_normalize
 from .errors import (
-    IncompleteRow,
     InsufficientCompleteCases,
     InvalidConfig,
     LeverageOne,
     MalformedCsv,
-    MissingResponse,
     PrimeError,
     SingularGram,
     StructureMismatch,
@@ -140,9 +138,8 @@ def _fmt(value: float) -> str:
 def _write_predictions(path: str, preds: np.ndarray, meta: dict) -> None:
     """``row,prediction`` CSV plus its ``.meta.json`` sidecar."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "prediction"])
-        writer.writerows([i, _fmt(value)] for i, value in enumerate(preds))
+        fh.write("row,prediction\r\n")  # csv's line ends
+        fh.writelines(f"{i},{value!r}\r\n" for i, value in enumerate(preds.tolist()))
     _write_json(path + ".meta.json", {
         "format": "primeplm.predictions",
         "version": 1,
@@ -190,43 +187,9 @@ def cmd_fit(args) -> int:
 # -- predict -----------------------------------------------------------------
 
 
-def _read_prediction_rows(path: str, columns, missing_token: str) -> np.ndarray:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise MalformedCsv(f"{path}: empty file") from None
-        absent = [c for c in columns if c not in header]
-        if absent:
-            raise StructureMismatch(f"{path}: columns missing from header: {absent}")
-        at = [header.index(c) for c in columns]
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise MalformedCsv(
-                    f"{path}:{lineno}: expected {len(header)} cells, found {len(row)}"
-                )
-            vals = []
-            for c in at:
-                cell = row[c].strip()
-                if cell == "" or cell == missing_token:
-                    raise IncompleteRow(f"{path}:{lineno}: missing covariate value")
-                try:
-                    vals.append(float(cell))
-                except ValueError:
-                    raise MalformedCsv(
-                        f"{path}:{lineno}: cannot parse numeric cell {cell!r}"
-                    ) from None
-            rows.append(vals)
-    if not rows:
-        raise MalformedCsv(f"{path}: no data rows")
-    return np.array(rows)
-
-
 def cmd_predict(args) -> int:
     fit = load_fit(args.fit)
-    rows = _read_prediction_rows(args.data, fit.columns, args.missing_token)
+    rows = load_rows(args.data, fit.columns, args.missing_token)
     preds = predict(fit, rows)
     _write_predictions(
         args.out, preds, {"fit_file": str(args.fit), "data_file": str(args.data)}
@@ -240,10 +203,8 @@ def cmd_predict(args) -> int:
 
 def cmd_average(args) -> int:
     seed = _resolve_seed(args.seed)
-    covariates = _read_covariate_names(args.data, args.response)
-    structure = ModelStructure(nonlinear=(), linear=covariates)
     table = load_csv(
-        args.data, structure, response=args.response, missing_token=args.missing_token
+        args.data, None, response=args.response, missing_token=args.missing_token
     )
     spec = make_spec(args.degree, args.knots, "uniform")
     config = _kernel_config(args, seed)
@@ -280,7 +241,7 @@ def cmd_average(args) -> int:
 
     if args.predictions_out:
         if args.predict_data:
-            rows = _read_prediction_rows(args.predict_data, table.columns, args.missing_token)
+            rows = load_rows(args.predict_data, table.columns, args.missing_token)
         else:
             complete = table.mask.all(axis=1)
             rows = table.x[complete]
@@ -293,20 +254,6 @@ def cmd_average(args) -> int:
         print(f"{preds.size} averaged predictions written to {args.predictions_out}")
     print(f"report written to {args.out}")
     return 0
-
-
-def _read_covariate_names(path: str, response: str) -> tuple[str, ...]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        try:
-            header = [h.strip() for h in next(csv.reader(fh))]
-        except StopIteration:
-            raise MalformedCsv(f"{path}: empty file") from None
-    if response not in header:
-        raise MissingResponse(f"{path}: response column {response!r} not in header")
-    names = tuple(h for h in header if h != response)
-    if not names:
-        raise StructureMismatch(f"{path}: no covariate columns besides the response")
-    return names
 
 
 # -- simulate ------------------------------------------------------------------

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import csv
 import os
+import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +20,7 @@ import numpy as np
 from ._kv import read_kv_file, split_list
 from .errors import (
     DegenerateColumn,
+    IncompleteRow,
     MalformedCsv,
     MissingResponse,
     StructureMismatch,
@@ -31,6 +34,7 @@ __all__ = [
     "NormalizationMap",
     "load_structure",
     "load_csv",
+    "load_rows",
     "write_csv",
     "build_pattern_index",
     "complete_case_subset",
@@ -211,19 +215,123 @@ def load_structure(path: str | os.PathLike) -> tuple[ModelStructure, str]:
     return structure, entries["response"]
 
 
-def _parse_cell(text: str, missing_token: str) -> float | None:
-    stripped = text.strip()
-    if stripped == "" or stripped == missing_token:
-        return None
+# The CSV grammar: one header row, then rows of exactly the header's width.
+# Cells are split at commas and may be quoted with '"'; whitespace around a
+# cell is stripped.  An empty cell or one equal to the missing token is
+# missing; any other cell of a column that is read must be a number as
+# np.loadtxt parses it (ASCII, no digit separators).  A blank line is a row
+# of zero cells, and '#' starts no comment.  Columns that are not read may
+# hold anything.
+
+# A missing cell reads as this NaN.  No text parses to its payload, so it
+# stays apart from a cell that reads "nan", which is an observed value.
+_MISSING_BITS = 0x7FF8_0000_0000_0001
+_MISSING = float(np.array(_MISSING_BITS, dtype=np.uint64).view(np.float64))
+
+
+def _number(text: str) -> float:
+    """``text`` as np.loadtxt reads a float cell; ValueError where it fails.
+
+    Both strip whitespace and end in CPython's string-to-double parser, but
+    float() alone also takes digit separators and non-ASCII digits."""
+    cell = text.strip()
+    if cell.isascii() and "_" not in cell:
+        return float(cell)
+    raise ValueError(f"could not convert string {text!r} to float64")
+
+
+def _read_header(fh, path) -> list[str]:
     try:
-        return float(stripped)
+        return [h.strip() for h in next(csv.reader(fh))]
+    except StopIteration:
+        raise MalformedCsv(f"{path}: empty file") from None
+
+
+def _noting_blank(fh, blank: list):
+    """The lines of ``fh``; np.loadtxt skips a blank line, so note it in ``blank``."""
+    for line in fh:
+        if line == "\n":
+            blank.append(line)
+        yield line
+
+
+def _may_hold_token(values: np.ndarray, missing_token: str) -> bool:
+    """Whether ``values`` hold the number a numeric-looking missing token
+    reads as: np.loadtxt takes such a cell for a value."""
+    try:
+        token = _number(missing_token)
     except ValueError:
-        raise MalformedCsv(f"cannot parse numeric cell {text!r}") from None
+        return False
+    return bool(np.any(np.isnan(values) if np.isnan(token) else values == token))
+
+
+def _locate(fh, path, header, at, optional, missing_token, missing_error) -> None:
+    """Raise the first row error of the file, rows in order and each row's
+    columns in the order of ``at``; return if every row is well formed."""
+    fh.seek(0)
+    reader = csv.reader(fh)
+    next(reader)
+    try:
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise MalformedCsv(
+                    f"{path}:{lineno}: expected {len(header)} cells, found {len(row)}"
+                )
+            for j, may_miss in zip(at, optional):
+                cell = row[j].strip()
+                if cell == "" or cell == missing_token:
+                    if not may_miss:
+                        raise missing_error(f"{path}:{lineno}")
+                    continue
+                try:
+                    _number(cell)
+                except ValueError:
+                    raise MalformedCsv(
+                        f"{path}:{lineno}: cannot parse numeric cell {row[j]!r}"
+                    ) from None
+    except csv.Error as err:
+        raise MalformedCsv(f"{path}:{reader.line_num}: {err}") from None
+
+
+def _read_columns(fh, path, header, columns, optional, missing_token, missing_error):
+    """Values and observed mask of ``columns``, in that order, from the rows
+    after the header, by one np.loadtxt pass.
+
+    A column flagged in ``optional`` may hold missing cells; a missing cell
+    anywhere else raises ``missing_error(location)``.  When the pass fails,
+    or leaves a doubt it cannot settle, the file is read again with
+    csv.reader to raise the first bad row or cell at its line.
+    """
+    at = [header.index(c) for c in columns]
+    # the other columns are read as one-character strings: never parsed, but
+    # every row still has to be as wide as the header
+    dtype = np.dtype([(f"c{j}", "f8" if j in at else "U1") for j in range(len(header))])
+
+    def cell(text):
+        stripped = text.strip()
+        return _MISSING if stripped == "" or stripped == missing_token else _number(stripped)
+
+    converters = {j: cell for j, may_miss in zip(at, optional) if may_miss}
+    blank: list = []
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            rows = np.loadtxt(
+                _noting_blank(fh, blank), dtype=dtype, delimiter=",", comments=None,
+                quotechar='"', ndmin=1, converters=converters,
+            )
+    except ValueError as err:
+        _locate(fh, path, header, at, optional, missing_token, missing_error)
+        raise MalformedCsv(f"{path}: {err}") from None
+    values = np.column_stack([rows[f"c{j}"] for j in at])
+    if blank or _may_hold_token(values[:, [not m for m in optional]], missing_token):
+        _locate(fh, path, header, at, optional, missing_token, missing_error)
+    return values, values.view(np.uint64) != _MISSING_BITS
 
 
 def load_csv(
     path: str | os.PathLike,
-    structure: ModelStructure,
+    structure: ModelStructure | None,
     response: str = "y",
     missing_token: str = "NA",
     drop_missing_response: bool = False,
@@ -233,63 +341,69 @@ def load_csv(
     Covariate cells equal to ``missing_token`` (or empty) become missing;
     the response must be fully observed unless ``drop_missing_response``
     skips those rows.  Columns in the file that are neither the response
-    nor declared in the structure are ignored.
+    nor declared in the structure are ignored.  Without a structure, every
+    column besides the response is a linear covariate.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedCsv(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
+    with open(path, "r", encoding="utf-8") as fh:
+        header = _read_header(fh, path)
         if response not in header:
             raise MissingResponse(f"{path}: response column {response!r} not in header")
+        if structure is None:
+            covariates = tuple(h for h in header if h != response)
+            if not covariates:
+                raise StructureMismatch(f"{path}: no covariate columns besides the response")
+            structure = ModelStructure(nonlinear=(), linear=covariates)
         wanted = structure.nonlinear + structure.linear
         absent = [c for c in wanted if c not in header]
         if absent:
             raise StructureMismatch(f"{path}: columns missing from header: {absent}")
         if response in wanted:
             raise StructureMismatch(f"{path}: response {response!r} also listed as covariate")
-        y_at = header.index(response)
-        col_at = [header.index(c) for c in wanted]
-
-        y_rows: list[float] = []
-        x_rows: list[list[float]] = []
-        m_rows: list[list[bool]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise MalformedCsv(
-                    f"{path}:{lineno}: expected {len(header)} cells, found {len(row)}"
-                )
-            try:
-                y_val = _parse_cell(row[y_at], missing_token)
-            except MalformedCsv as err:
-                raise MalformedCsv(f"{path}:{lineno}: {err}") from None
-            if y_val is None:
-                if drop_missing_response:
-                    continue
-                raise MissingResponse(f"{path}:{lineno}: response value is missing")
-            xs, ms = [], []
-            for c in col_at:
-                try:
-                    val = _parse_cell(row[c], missing_token)
-                except MalformedCsv as err:
-                    raise MalformedCsv(f"{path}:{lineno}: {err}") from None
-                xs.append(np.nan if val is None else val)
-                ms.append(val is not None)
-            y_rows.append(y_val)
-            x_rows.append(xs)
-            m_rows.append(ms)
-
-    if not y_rows:
+        values, observed = _read_columns(
+            fh, path, header, (response, *wanted), (drop_missing_response,) + (True,) * len(wanted),
+            missing_token, lambda where: MissingResponse(f"{where}: response value is missing"),
+        )
+    keep = observed[:, 0]
+    if not keep.any():
         raise MalformedCsv(f"{path}: no data rows")
     return ObservationTable(
-        y=np.array(y_rows),
-        x=np.array(x_rows),
-        mask=np.array(m_rows),
+        y=values[keep, 0],
+        x=values[keep, 1:],
+        mask=observed[keep, 1:],
         columns=wanted,
         structure=structure,
     )
+
+
+def load_rows(
+    path: str | os.PathLike, columns: Sequence[str], missing_token: str = "NA"
+) -> np.ndarray:
+    """The ``columns`` of a headed CSV as an (n, len(columns)) array.
+
+    Every cell of those columns must be observed; other columns are ignored.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        header = _read_header(fh, path)
+        absent = [c for c in columns if c not in header]
+        if absent:
+            raise StructureMismatch(f"{path}: columns missing from header: {absent}")
+        values, _ = _read_columns(
+            fh, path, header, tuple(columns), (False,) * len(columns), missing_token,
+            lambda where: IncompleteRow(f"{where}: missing covariate value"),
+        )
+    if not values.shape[0]:
+        raise MalformedCsv(f"{path}: no data rows")
+    return values
+
+
+_WRITE_ROWS = 8192  # rows formatted per block, which bounds the strings held
+
+
+def _csv_cell(text: str) -> str:
+    """``text`` as csv.writer writes it among other cells of a row."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def write_csv(
@@ -298,15 +412,19 @@ def write_csv(
     response: str = "y",
     missing_token: str = "NA",
 ) -> None:
-    """Inverse of load_csv; floats written with full round-trip precision."""
+    """Inverse of load_csv; floats written with full round-trip precision.
+
+    Rows end in csv's ``\\r\\n``; float cells never need quotes.
+    """
+    token = _csv_cell(missing_token)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([response, *table.columns])
-        for i in range(table.n):
-            row = [repr(float(table.y[i]))]
+        csv.writer(fh).writerow([response, *table.columns])
+        for start in range(0, table.n, _WRITE_ROWS):
+            rows = slice(start, start + _WRITE_ROWS)
+            cells = [list(map(repr, table.y[rows].tolist()))]
             for j in range(len(table.columns)):
-                if table.mask[i, j]:
-                    row.append(repr(float(table.x[i, j])))
-                else:
-                    row.append(missing_token)
-            writer.writerow(row)
+                column = list(map(repr, table.x[rows, j].tolist()))
+                for i in np.flatnonzero(~table.mask[rows, j]).tolist():
+                    column[i] = token
+                cells.append(column)
+            fh.writelines(",".join(row) + "\r\n" for row in zip(*cells))

@@ -125,6 +125,10 @@ class _Imputed:
         labels += [f"{name}:b{l + 1}" for name in table.structure.nonlinear for l in range(L)]
         labels += table.structure.linear
         imputation = copy.deepcopy(self.imputation)  # every design owns its counters
+        for counts in (imputation.no_donor_fallbacks, imputation.underflow_fallbacks):
+            for name in table.structure.nonlinear + table.structure.linear:
+                if name in counts:  # keyed nonlinear first, as fit_prime's plan keys them
+                    counts[name] = counts.pop(name)
         return DesignMatrix(np.hstack(pieces), tuple(labels), means, imputation)
 
 

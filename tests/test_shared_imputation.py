@@ -22,6 +22,7 @@ from primeplm import (
     fit_prime_ma,
     make_spec,
     predict,
+    save_fit,
 )
 from primeplm.errors import DegenerateSampleWarning
 from primeplm.kernel_impute import KernelConfig
@@ -148,3 +149,17 @@ def test_candidate_diagnostics_are_not_shared():
     counters[0].no_donor_fallbacks.clear()
     assert [dict(c.underflow_fallbacks) for c in counters[1:]] == before
     assert len({id(c) for c in counters}) == len(counters)
+
+
+def test_candidate_fit_files_equal_fit_prime_byte_for_byte(tmp_path):
+    # fallbacks in every incomplete column, so the order of the counters'
+    # keys shows in the fit file
+    table, scales = scaled_table(seed=4, n=40, k=4, missing_rate=0.3)
+    spec, config = make_spec(), KernelConfig(bandwidth="fixed", fixed_h=tuple(1e-4 * scales))
+    avg = fit_prime_ma(table, spec, config)
+    got, want = tmp_path / "got.json", tmp_path / "want.json"
+    for candidate, fit in zip(build_candidates(table.columns), avg.fits):
+        assert len(fit.diagnostics.imputation.underflow_fallbacks) > 1
+        save_fit(fit, got)
+        save_fit(fit_prime(table.with_structure(candidate), spec, config), want)
+        assert got.read_bytes() == want.read_bytes()
