@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -190,7 +190,10 @@ def test_build_cv_matrix_consistency():
 
 def two_factorization_cv(table, candidates, spec):
     """The CV matrix from two factorizations per candidate: a QR for the
-    leverages and an SVD least squares solve for the residuals.  Returns
+    leverages and an SVD least squares solve for the residuals.  The solve
+    runs on G with unit-norm columns: that spans the same space, and a spline
+    column with little support can make cond(G) ~ 1e8 where the scaled
+    design's is ~ 20, and y - G @ coef loses that many digits.  Returns
     (matrix, leverages of the kept units, kept rows, dropped rows)."""
     parts = []
     rows = np.flatnonzero(table.mask.all(axis=1))
@@ -201,8 +204,9 @@ def two_factorization_cv(table, candidates, spec):
         d = np.abs(np.diag(r))
         if d.min() <= 1e-10 * d.max():
             raise SingularGram("numerically singular")
-        coef, *_ = scipy.linalg.lstsq(G, y)
-        parts.append((y - G @ coef, (q * q).sum(axis=1)))
+        Gs = G / np.linalg.norm(G, axis=0)
+        coef, *_ = scipy.linalg.lstsq(Gs, y)
+        parts.append((y - Gs @ coef, (q * q).sum(axis=1)))
     keep = np.logical_and.reduce([h < 1.0 - 1e-8 for _, h in parts])
     if not keep.any():
         raise InsufficientCompleteCases("every complete case has leverage ~ 1")
@@ -259,6 +263,8 @@ def test_build_cv_matrix_drops_the_leverage_one_unit():
 
 
 @settings(deadline=None, max_examples=150)
+# cond(G) ~ 7e7 for candidate c0, ~ 20 once its columns are scaled.
+@example(seed=392420, n=12, k=2, knots=2, missing_rate=0.05, outlier=True)
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     n=st.integers(min_value=12, max_value=120),
