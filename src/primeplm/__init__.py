@@ -24,11 +24,6 @@ from .kernel_impute import (
     ImputationPlan,
     KernelConfig,
     draw_directions,
-    impute_basis_row,
-    impute_linear_value,
-    product_kernel_weight,
-    projected_kernel_weight,
-    silverman_bandwidth,
 )
 from .model_averaging import (
     AveragedFit,
@@ -38,7 +33,6 @@ from .model_averaging import (
     cc_design,
     cv_weights,
     fit_prime_ma,
-    loo_residuals,
     predict_averaged,
 )
 from .prime_fit import (
@@ -87,15 +81,13 @@ __all__ = [
     # spline
     "SplineSpec", "make_spec", "basis_matrix",
     # kernel imputation
-    "KernelConfig", "ImputationDiagnostics", "ImputationPlan",
-    "silverman_bandwidth", "product_kernel_weight", "projected_kernel_weight",
-    "draw_directions", "impute_linear_value", "impute_basis_row",
+    "KernelConfig", "ImputationDiagnostics", "ImputationPlan", "draw_directions",
     # fitting
     "DesignMatrix", "FitDiagnostics", "PrimeFit", "assemble_design",
     "solve_least_squares", "fit_prime", "fit_cc", "fit_mean_impute",
     "predict", "estimate_g", "save_fit", "load_fit",
     # model averaging
-    "CvMatrix", "AveragedFit", "build_candidates", "cc_design", "loo_residuals",
+    "CvMatrix", "AveragedFit", "build_candidates", "cc_design",
     "build_cv_matrix", "cv_weights", "predict_averaged", "fit_prime_ma",
     # simulation
     "TRUE_BETA", "MR_PARAMS_60", "MR_PARAMS_85", "SIM_COLUMNS", "SIM_STRUCTURE",

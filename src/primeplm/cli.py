@@ -22,7 +22,6 @@ from .dataset import load_csv, load_rows, load_structure, minmax_normalize
 from .errors import (
     InsufficientCompleteCases,
     InvalidConfig,
-    LeverageOne,
     MalformedCsv,
     PrimeError,
     SingularGram,
@@ -41,7 +40,6 @@ _NUMERICAL_ERRORS = (
     Underdetermined,
     InsufficientCompleteCases,
     SingularGram,
-    LeverageOne,
     np.linalg.LinAlgError,
 )
 
@@ -435,14 +433,14 @@ def _add_kernel_flags(sub) -> None:
     sub.add_argument("--knots", type=int, default=0,
                      help="number of interior knots (default 0)")
     sub.add_argument("--bandwidth", default="silverman",
-                     help="'silverman' or 'fixed:h1,h2,...', one per covariate column "
-                          "in its raw units")
+                     help="'silverman' or 'fixed:h1,h2,...', one finite positive h per "
+                          "covariate column in its raw units")
     sub.add_argument("--projection", default="none",
                      help="'none' or 'B:dist' with dist standard_normal|scaled_uniform")
     sub.add_argument("--projection-threshold", type=int, default=4,
                      help="project when a unit observes more than this many covariates")
     sub.add_argument("--seed", type=int, default=None,
-                     help="RNG seed (fresh entropy if omitted, printed to stderr)")
+                     help="nonnegative RNG seed (fresh entropy if omitted, printed to stderr)")
     sub.add_argument("--missing-token", default="NA",
                      help="cell text marking a missing value (default NA)")
 

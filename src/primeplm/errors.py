@@ -74,10 +74,6 @@ class SingularGram(PrimeError):
     """Cross-product matrix of a candidate design is not invertible."""
 
 
-class LeverageOne(PrimeError):
-    """A leverage value is numerically 1; the LOO residual is undefined."""
-
-
 class MissingBaseline(PrimeError):
     """A ratio table was requested without the baseline method present."""
 

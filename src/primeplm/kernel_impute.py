@@ -25,18 +25,12 @@ import numpy as np
 
 from .dataset import ObservationTable, PatternIndex
 from .errors import DegenerateColumn, DegenerateSampleWarning, InvalidConfig
-from .spline import SplineSpec, basis_matrix
 
 __all__ = [
     "KernelConfig",
     "ImputationDiagnostics",
     "ImputationPlan",
-    "silverman_bandwidth",
-    "product_kernel_weight",
-    "projected_kernel_weight",
     "draw_directions",
-    "impute_linear_value",
-    "impute_basis_row",
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -59,6 +53,8 @@ class KernelConfig:
     projection "resampled" replaces the product kernel by the geometric
     mean of n_projections univariate kernels along random directions
     whenever a unit observes more than projection_threshold covariates.
+    Fixed bandwidths must be finite and positive, and seed nonnegative;
+    anything else raises InvalidConfig.
     """
 
     bandwidth: str = "silverman"
@@ -75,8 +71,10 @@ class KernelConfig:
         if self.bandwidth == "fixed":
             if self.fixed_h is None or len(self.fixed_h) == 0:
                 raise InvalidConfig("fixed bandwidth rule requires fixed_h")
-            if any(h <= 0 for h in self.fixed_h):
-                raise InvalidConfig("fixed bandwidths must be positive")
+            if not all(math.isfinite(h) and h > 0 for h in self.fixed_h):
+                raise InvalidConfig(
+                    f"fixed bandwidths must be finite and positive, got {self.fixed_h}"
+                )
             object.__setattr__(self, "fixed_h", tuple(float(h) for h in self.fixed_h))
         if self.projection not in ("none", "resampled"):
             raise InvalidConfig(f"unknown projection mode {self.projection!r}")
@@ -86,6 +84,8 @@ class KernelConfig:
             raise InvalidConfig(f"unknown direction distribution {self.projection_dist!r}")
         if self.projection_threshold < 0:
             raise InvalidConfig("projection_threshold must be >= 0")
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be a nonnegative integer, got {self.seed}")
 
 
 @dataclass
@@ -110,45 +110,6 @@ def _silverman_core(sd: float, n: int) -> tuple[float, bool]:
 def _sample_sd(values: np.ndarray) -> float:
     values = np.asarray(values, dtype=float)
     return float(values.std(ddof=1)) if values.size >= 2 else 0.0
-
-
-def silverman_bandwidth(values: np.ndarray, n: int) -> float:
-    """1.06 * sample SD * n**(-1/5); degenerate samples fall back to 1.06 * n**(-1/5)."""
-    if n < 1:
-        raise InvalidConfig("sample size for the bandwidth rate must be >= 1")
-    h, degenerate = _silverman_core(_sample_sd(values), n)
-    if degenerate:
-        warnings.warn(
-            "zero-variance bandwidth sample, falling back to 1.06 * n**-0.2",
-            DegenerateSampleWarning,
-            stacklevel=2,
-        )
-    return h
-
-
-def _log_gauss(u: np.ndarray) -> np.ndarray:
-    return -0.5 * u * u - 0.5 * _LOG_2PI
-
-
-def product_kernel_weight(diff: np.ndarray, h: np.ndarray) -> float:
-    """Product Gaussian kernel weight for one donor difference vector."""
-    diff = np.asarray(diff, dtype=float)
-    h = np.asarray(h, dtype=float)
-    if diff.shape != h.shape:
-        raise InvalidConfig(f"diff and h shapes differ: {diff.shape} vs {h.shape}")
-    return float(np.exp((_log_gauss(diff / h) - np.log(h)).sum()))
-
-
-def projected_kernel_weight(diff: np.ndarray, directions: np.ndarray, h: float) -> float:
-    diff = np.asarray(diff, dtype=float)
-    directions = np.asarray(directions, dtype=float)
-    if directions.ndim != 2 or directions.shape[1] != diff.shape[-1]:
-        raise InvalidConfig(
-            f"directions must be (B, {diff.shape[-1]}), got {directions.shape}"
-        )
-    if h <= 0:
-        raise InvalidConfig("projection bandwidth must be positive")
-    return float(np.exp((_log_gauss(diff @ directions.T / h) - math.log(h)).mean()))
 
 
 def draw_directions(m: int, n_projections: int, dist: str, seed) -> np.ndarray:
@@ -234,20 +195,14 @@ class ImputationPlan:
     normalized weights.
     """
 
-    def __init__(
-        self,
-        table: ObservationTable,
-        pattern: PatternIndex,
-        config: KernelConfig,
-        diagnostics: ImputationDiagnostics | None = None,
-    ):
+    def __init__(self, table: ObservationTable, pattern: PatternIndex, config: KernelConfig):
         if config.bandwidth == "fixed" and len(config.fixed_h) != len(table.columns):
             raise InvalidConfig(
                 f"fixed_h needs {len(table.columns)} entries, got {len(config.fixed_h)}"
             )
         self.table = table
         self.config = config
-        self.diagnostics = diagnostics if diagnostics is not None else ImputationDiagnostics()
+        self.diagnostics = ImputationDiagnostics()
         # column-major copies: a pattern's rows are gathered from contiguous runs
         self._xt = np.ascontiguousarray(table.x.T)
         self._observed = np.ascontiguousarray(table.mask.T)
@@ -355,22 +310,16 @@ class ImputationPlan:
             return donors, None
         return donors, w[0] / w[0].sum()
 
-    def impute(self, values: dict[int, tuple], target: int | None = None) -> None:
+    def impute(self, values: dict[int, tuple]) -> None:
         """Fill the missing rows of each array in ``values[j]`` in place.
 
         ``values`` maps a column position to a tuple of (n, d) arrays whose
         rows are set wherever column j is observed; all of them are filled
         with the same weights.  A missing row becomes the kernel-weighted
         average of its donors' rows, or the mean of the observed rows when
-        there is no donor or every weight underflows.  With ``target`` set,
-        only that unit's cells are filled.
+        there is no donor or every weight underflows.
         """
         mask = self.table.mask
-        patterns = self._patterns.values()
-        if target is not None:
-            if mask[target, list(values)].any():
-                raise InvalidConfig(f"unit {target} observes a column to impute")
-            patterns = [self._patterns[mask[target].tobytes()]]
         arrays = {j: v for j, v in values.items() if not mask[:, j].all()}
         for j in arrays:
             if not mask[:, j].any():
@@ -379,10 +328,9 @@ class ImputationPlan:
                 )
         fallback = {j: [out[mask[:, j]].mean(axis=0) for out in arrays[j]] for j in arrays}
         no_donor, underflow = Counter(), Counter()
-        for pp in patterns:
-            targets = pp.targets if target is None else np.array([target])
+        for pp in self._patterns.values():
             todo = [j for j in pp.missing if j in arrays]
-            for j, chunk, donors, w, kept in self._weights(pp, targets, todo):
+            for j, chunk, donors, w, kept in self._weights(pp, pp.targets, todo):
                 for out, mean in zip(arrays[j], fallback[j]):
                     if w is None:
                         out[chunk] = mean
@@ -401,34 +349,3 @@ class ImputationPlan:
                 self.diagnostics.no_donor_fallbacks[name] += no_donor[j]
             if underflow[j]:
                 self.diagnostics.underflow_fallbacks[name] += underflow[j]
-
-
-def impute_linear_value(
-    i: int,
-    j: int,
-    table: ObservationTable,
-    pattern: PatternIndex,
-    config: KernelConfig,
-    diagnostics: ImputationDiagnostics | None = None,
-) -> float:
-    """NW estimate of the missing linear covariate j of unit i."""
-    column = np.array(table.x[:, j : j + 1])
-    ImputationPlan(table, pattern, config, diagnostics).impute({j: (column,)}, target=i)
-    return float(column[i, 0])
-
-
-def impute_basis_row(
-    i: int,
-    j: int,
-    spec: SplineSpec,
-    table: ObservationTable,
-    pattern: PatternIndex,
-    config: KernelConfig,
-    diagnostics: ImputationDiagnostics | None = None,
-) -> np.ndarray:
-    """NW estimate of the spline-basis row for missing nonlinear covariate j."""
-    observed = table.mask[:, j]
-    block = np.zeros((table.n, spec.basis_size))
-    block[observed] = basis_matrix(spec, table.x[observed, j])
-    ImputationPlan(table, pattern, config, diagnostics).impute({j: (block,)}, target=i)
-    return block[i]

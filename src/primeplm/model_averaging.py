@@ -25,7 +25,6 @@ from .errors import (
     DegenerateColumn,
     InsufficientCompleteCases,
     LengthMismatch,
-    LeverageOne,
     SingularGram,
 )
 from .kernel_impute import KernelConfig
@@ -38,7 +37,6 @@ __all__ = [
     "build_candidates",
     "fit_candidate_full",
     "cc_design",
-    "loo_residuals",
     "build_cv_matrix",
     "cv_weights",
     "predict_averaged",
@@ -103,16 +101,6 @@ def _residuals_and_leverages(G: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, 
             f"(diag ratio {d.min() / d.max():.2e})"
         )
     return y - q @ (q.T @ y), (q * q).sum(axis=1)
-
-
-def loo_residuals(G: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Exact leave-one-out residuals (y_i - yhat_i) / (1 - h_ii)."""
-    resid, h = _residuals_and_leverages(
-        np.asarray(G, dtype=float), np.asarray(y, dtype=float)
-    )
-    if np.any(h >= 1.0 - _LEVERAGE_TOL):
-        raise LeverageOne("a unit has leverage numerically equal to 1")
-    return resid / (1.0 - h)
 
 
 @dataclass(frozen=True)

@@ -103,6 +103,8 @@ class ScenarioConfig:
         params = tuple(float(v) for v in self.mr_params)
         if len(params) != 5:
             raise InvalidConfig("mr_params needs exactly 5 values (a, b, c, d, e)")
+        if not all(math.isfinite(v) for v in params):
+            raise InvalidConfig(f"mr_params must all be finite, got {params}")
         if not 0.0 <= params[4] <= 1.0:
             raise InvalidConfig("the constant deletion probability e must be in [0, 1]")
         object.__setattr__(self, "mr_params", params)

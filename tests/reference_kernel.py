@@ -1,0 +1,149 @@
+"""Direct formulas the oracle tests compare primeplm against.
+
+Everything here is written from the estimator's definition, one cell or one
+unit at a time, and none of it runs in the package.
+
+Imputation: a missing cell (i, j) borrows from its donors, the rows that
+observe everything unit i observes plus column j.  A donor's log-weight is
+the sum over observed columns c of log K(diff_c / h_c) - log h_c (product
+kernel), or the mean over random directions v of log K(v.diff / h) - log h
+(resampled projection, with h from Silverman's rule on the pooled projected
+target-row differences of the pattern).  A cell with no donor, or whose
+largest log-weight is below -700, takes the mean of the observed values or
+basis rows of its column.
+
+Leave-one-out: the residual of unit i is y_i minus its prediction from the
+least squares fit on every other unit.
+"""
+
+from __future__ import annotations
+
+import math
+from collections import Counter
+
+import numpy as np
+
+from primeplm import kernel_impute
+from primeplm.kernel_impute import draw_directions
+from primeplm.spline import basis_matrix
+
+HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _log_gauss(u: np.ndarray) -> np.ndarray:
+    return -0.5 * u * u - HALF_LOG_2PI
+
+
+def product_kernel_weight(diff: np.ndarray, h: np.ndarray) -> float:
+    """Product Gaussian kernel weight prod_c K(diff_c / h_c) / h_c of one
+    donor difference vector."""
+    diff = np.asarray(diff, dtype=float)
+    h = np.asarray(h, dtype=float)
+    return float(np.exp((_log_gauss(diff / h) - np.log(h)).sum()))
+
+
+def projected_kernel_weight(diff: np.ndarray, directions: np.ndarray, h: float) -> float:
+    """Geometric mean over the rows v of ``directions`` of K(v.diff / h) / h."""
+    diff = np.asarray(diff, dtype=float)
+    directions = np.asarray(directions, dtype=float)
+    return float(np.exp((_log_gauss(diff @ directions.T / h) - math.log(h)).mean()))
+
+
+def silverman(values, n):
+    """(h, degenerate) by 1.06 * sd * n**-0.2, sd 0 falling back to 1."""
+    values = np.asarray(values, dtype=float)
+    sd = values.std(ddof=1) if values.size >= 2 else 0.0
+    degenerate = not (np.isfinite(sd) and sd > 0.0)
+    return 1.06 * (1.0 if degenerate else sd) * n ** -0.2, degenerate
+
+
+def pooled_projected_differences(x, mask, i, directions):
+    """(x_e - x_t) . v over every unit t sharing unit i's pattern, every other
+    row e observing that pattern's columns, and every direction v."""
+    cond = np.flatnonzero(mask[i])
+    targets = np.flatnonzero((mask == mask[i]).all(axis=1))
+    rows = np.flatnonzero(mask[:, cond].all(axis=1))
+    diffs = [
+        (x[e, cond] - x[t, cond]) @ directions.T for t in targets for e in rows if e != t
+    ]
+    return np.concatenate(diffs) if diffs else np.empty(0)
+
+
+def pattern_directions(config, cond):
+    """The directions a resampled-projection kernel draws for the pattern
+    observing columns ``cond``."""
+    seed = np.random.SeedSequence([config.seed, kernel_impute._DIRECTION_TAG, *cond.tolist()])
+    return draw_directions(cond.size, config.n_projections, config.projection_dist, seed)
+
+
+def direct_imputation(table, config, spec):
+    """Every missing cell by the direct formula, in assemble_design's column
+    order.  Returns (values by cell, no-donor counts, underflow counts,
+    degenerate-bandwidth counts)."""
+    x, mask, n = table.x, table.mask, table.n
+    names = table.columns
+    no_donor, underflow, degenerate = Counter(), Counter(), Counter()
+    column_h = {}
+
+    def column_bandwidth(c):
+        if c not in column_h:
+            if config.bandwidth == "fixed":
+                column_h[c] = config.fixed_h[c]
+            else:
+                column_h[c], bad = silverman(x[mask[:, c], c], n)
+                if bad:
+                    degenerate[names[c]] += 1
+        return column_h[c]
+
+    pattern_h = {}
+    values = {}
+    order = [table.position(c) for c in table.structure.nonlinear + table.structure.linear]
+    for j in order:
+        nonlinear = names[j] in table.structure.nonlinear
+        observed = x[mask[:, j], j]
+        fallback = basis_matrix(spec, observed).mean(axis=0) if nonlinear else observed.mean()
+        for i in np.flatnonzero(~mask[:, j]):
+            cond = np.flatnonzero(mask[i])
+            donors = np.flatnonzero(mask[:, j] & mask[:, cond].all(axis=1))
+            if donors.size == 0:
+                no_donor[names[j]] += 1
+                values[i, j] = fallback
+                continue
+            diff = x[np.ix_(donors, cond)] - x[i, cond]
+            if config.projection == "resampled" and cond.size > config.projection_threshold:
+                v = pattern_directions(config, cond)
+                key = cond.tobytes()
+                if key not in pattern_h:
+                    pooled = pooled_projected_differences(x, mask, i, v)
+                    pattern_h[key], bad = silverman(pooled, n)
+                    if bad:
+                        degenerate["pattern:" + ",".join(names[c] for c in cond)] += 1
+                h = pattern_h[key]
+                s = diff @ v.T / h
+                logw = (-0.5 * s * s - HALF_LOG_2PI - math.log(h)).mean(axis=1)
+            else:
+                h = np.array([column_bandwidth(c) for c in cond])
+                u = diff / h
+                logw = (-0.5 * u * u - HALF_LOG_2PI - np.log(h)).sum(axis=1)
+            if logw.max() < -700.0:
+                underflow[names[j]] += 1
+                values[i, j] = fallback
+                continue
+            w = np.exp(logw - logw.max())
+            w /= w.sum()
+            donor_values = x[donors, j]
+            values[i, j] = w @ (basis_matrix(spec, donor_values) if nonlinear else donor_values)
+    return values, no_donor, underflow, degenerate
+
+
+def delete_one_residuals(G, y, units):
+    """y_i - G_i beta_(-i) for each unit i in ``units``, beta_(-i) the least
+    squares fit of y on G without row i."""
+    G = np.asarray(G, dtype=float)
+    y = np.asarray(y, dtype=float)
+    out = []
+    for i in units:
+        keep = np.arange(len(y)) != i
+        beta = np.linalg.lstsq(G[keep], y[keep], rcond=None)[0]
+        out.append(y[i] - G[i] @ beta)
+    return np.array(out)

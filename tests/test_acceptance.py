@@ -15,14 +15,14 @@ from scipy.special import ndtr
 
 from conftest import imputed_columns, make_blockwise_table
 from primeplm import ModelStructure, ObservationTable, build_pattern_index, make_spec
-from primeplm.kernel_impute import (
-    ImputationPlan,
-    KernelConfig,
-    impute_basis_row,
-    impute_linear_value,
-    projected_kernel_weight,
+from primeplm.kernel_impute import ImputationPlan, KernelConfig
+from primeplm.model_averaging import (
+    build_candidates,
+    build_cv_matrix,
+    cc_design,
+    cv_weights,
+    fit_prime_ma,
 )
-from primeplm.model_averaging import cv_weights, fit_prime_ma, loo_residuals
 from primeplm.prime_fit import fit_cc, fit_prime, predict
 from primeplm.simulation import (
     MR_PARAMS_60,
@@ -40,6 +40,12 @@ from primeplm.simulation import (
     run_study,
     sigma_for_r2,
     true_mean,
+)
+from reference_kernel import (
+    delete_one_residuals,
+    pattern_directions,
+    pooled_projected_differences,
+    silverman,
 )
 
 BAND = (0.15, 0.35)
@@ -124,6 +130,7 @@ def test_criterion_2_nw_micro_oracles():
         errs = []
         for ha, hb in ((0.3, 0.5), (0.8, 0.25), (1.5, 1.0)):
             config = KernelConfig(bandwidth="fixed", fixed_h=(ha, hb))
+            values = imputed_columns(table, pattern, config, spec)
             for k, a_t in enumerate(targets_a):
                 ws = [
                     math.exp(-0.5 * ((ad - a_t) / ha) ** 2)
@@ -131,8 +138,7 @@ def test_criterion_2_nw_micro_oracles():
                     for ad in donors_a
                 ]
                 expected = sum(w * b for w, b in zip(ws, donors_b)) / sum(ws)
-                got = impute_linear_value(6 + k, 1, table, pattern, config)
-                errs.append(abs(got - expected))
+                errs.append(abs(values[1][6 + k, 0] - expected))
             for k, b_t in enumerate(targets_b):
                 ws = [
                     math.exp(-0.5 * ((bd - b_t) / hb) ** 2)
@@ -144,23 +150,40 @@ def test_criterion_2_nw_micro_oracles():
                     sum(w * bernstein(ad)[l] for w, ad in zip(ws, donors_a)) / sw
                     for l in range(4)
                 ]
-                got = impute_basis_row(9 + k, 0, spec, table, pattern, config)
+                got = values[0][9 + k]
                 errs.append(max(abs(g - e) for g, e in zip(got, expected)))
 
-        # projected weights against an explicit geometric mean of the
-        # per-direction Gaussian kernels
+        # projected donor weights against an explicit geometric mean of the
+        # per-direction Gaussian kernels: eight complete donors and four
+        # units missing the last of m + 1 columns, whose m > 2 observed
+        # columns switch the resampled projection on
         rng = np.random.default_rng(7)
-        for _ in range(9):
+        for instance in range(9):
             m = int(rng.integers(3, 7))
-            d = rng.normal(0, 1, m)
-            directions = rng.normal(0, 1, (2, m))
-            h = float(rng.uniform(0.3, 2.0))
-            logs = []
-            for b in range(2):
-                t = sum(d[k] * directions[b, k] for k in range(m)) / h
-                logs.append(-0.5 * t * t - 0.5 * math.log(2 * math.pi) - math.log(h))
-            expected = math.exp(sum(logs) / len(logs))
-            errs.append(abs(projected_kernel_weight(d, directions, h) - expected))
+            x = rng.normal(0, 1, (12, m + 1))
+            x[8:, m] = np.nan
+            cols = tuple(f"c{c}" for c in range(m + 1))
+            table = ObservationTable(
+                y=np.zeros(12), x=x, mask=~np.isnan(x), columns=cols,
+                structure=ModelStructure(nonlinear=(), linear=cols),
+            )
+            config = KernelConfig(projection="resampled", n_projections=2,
+                                  projection_threshold=2, seed=instance)
+            plan = ImputationPlan(table, build_pattern_index(table), config)
+            i = 8 + instance % 4
+            donors, got = plan.cell_weights(i, m)
+            cond = np.arange(m)
+            directions = pattern_directions(config, cond)
+            pooled = pooled_projected_differences(table.x, table.mask, i, directions)
+            h = silverman(pooled, table.n)[0]
+            ws = []
+            for d in donors:
+                logs = []
+                for b in range(2):
+                    t = sum((x[d, c] - x[i, c]) * directions[b, c] for c in range(m)) / h
+                    logs.append(-0.5 * t * t - 0.5 * math.log(2 * math.pi) - math.log(h))
+                ws.append(math.exp(sum(logs) / len(logs)))
+            errs.append(max(abs(g - w / sum(ws)) for g, w in zip(got, ws)))
 
         worst = max(errs)
         ok = worst <= 1e-12 and len(errs) >= 20
@@ -174,21 +197,30 @@ def test_criterion_2_nw_micro_oracles():
 def test_criterion_3_loo_identity():
     def body():
         rng = np.random.default_rng(3)
+        spec = make_spec()
         worst = 0.0
         checked = 0
         for _ in range(10):
             n = int(rng.integers(12, 26))
-            k = int(rng.integers(2, 7))
-            G = rng.normal(0, 1, (n, k))
-            y = rng.normal(0, 1, n)
-            r = loo_residuals(G, y)
-            for i in rng.choice(n, size=5, replace=False):
-                keep = np.arange(n) != i
-                beta = np.linalg.lstsq(G[keep], y[keep], rcond=None)[0]
-                worst = max(worst, abs(r[i] - (y[i] - G[i] @ beta)))
-                checked += 1
+            k = int(rng.integers(2, 5))
+            x = rng.normal(0, 1, (n, k))
+            cols = tuple(f"c{c}" for c in range(k))
+            table = ObservationTable(
+                y=rng.normal(0, 1, n), x=x, mask=np.ones((n, k), dtype=bool),
+                columns=cols, structure=ModelStructure(nonlinear=(), linear=cols),
+            )
+            candidates = build_candidates(cols)
+            cv = build_cv_matrix(table, candidates, spec)
+            c = int(rng.integers(k))
+            G = cc_design(table, candidates[c], spec, np.arange(n))
+            units = rng.choice(cv.rows, size=5, replace=False)
+            want = delete_one_residuals(G, table.y, units)
+            got = cv.matrix[np.searchsorted(cv.rows, units), c]
+            worst = max(worst, float(np.abs(got - want).max()))
+            checked += units.size
         ok = worst <= 1e-8 and checked == 50
-        return ok, f"{checked} delete-one refits, max |err| {worst:.2e} (tol 1e-8)"
+        return ok, (f"{checked} delete-one refits against build_cv_matrix, "
+                    f"max |err| {worst:.2e} (tol 1e-8)")
     _check(3, body)
 
 

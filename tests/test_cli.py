@@ -69,7 +69,7 @@ def test_unreadable_data_is_usage_error(tmp_path, capsys):
 
 _NUMERICAL = (
     errors.Underdetermined, errors.InsufficientCompleteCases, errors.SingularGram,
-    errors.LeverageOne, np.linalg.LinAlgError,
+    np.linalg.LinAlgError,
 )
 
 
@@ -97,10 +97,14 @@ def test_bad_bandwidth_and_projection_flags(tmp_path, capsys):
     ]
     assert main(base + ["--bandwidth", "gauss"]) == 2
     assert main(base + ["--bandwidth", "fixed:a,b"]) == 2
+    # NaN is not JSON, and would send every imputed cell to its column mean
+    assert main(base + ["--bandwidth", "fixed:nan,1,1"]) == 2
+    assert main(base + ["--bandwidth", "fixed:inf,1,1"]) == 2
     assert main(base + ["--projection", "3"]) == 2
     assert main(base + ["--projection", "x:standard_normal"]) == 2
     assert main(base + ["--projection", "2:triangular"]) == 2
     capsys.readouterr()
+    assert not (tmp_path / "f.json").exists()
 
 
 def test_fixed_bandwidth_wrong_length(tmp_path, capsys):
@@ -111,6 +115,21 @@ def test_fixed_bandwidth_wrong_length(tmp_path, capsys):
     ])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["fit", "average"])
+@pytest.mark.parametrize("projection", [
+    [], ["--projection", "1:standard_normal", "--projection-threshold", "0"],
+], ids=["product", "resampled"])
+def test_negative_seed_is_usage_error(tmp_path, capsys, command, projection):
+    out = str(tmp_path / "out.json")
+    args = (
+        ["fit", "--structure", STRUCTURE, "--fit-out", out] if command == "fit"
+        else ["average", "--out", out]
+    )
+    rc = main(args + ["--data", TOY_MISSING, "--seed", "-1", *projection])
+    assert rc == 2
+    assert "seed must be a nonnegative integer" in capsys.readouterr().err
 
 
 def test_malformed_csv_is_data_error(tmp_path, capsys):
@@ -273,6 +292,13 @@ def test_predict_truncated_fit_file_is_data_error(tmp_path, capsys):
     assert "centering_means" in capsys.readouterr().err
 
 
+# the kernel block run_fit writes
+KERNEL = {
+    "bandwidth": "silverman", "fixed_h": None, "projection": "none", "n_projections": 2,
+    "projection_dist": "standard_normal", "projection_threshold": 4, "seed": 5,
+}
+
+
 @pytest.mark.parametrize("edit", [
     {"normalization": {"u1": [0.5]}},
     {"normalization": {"u1": [0.4, 0.4]}},
@@ -283,10 +309,14 @@ def test_predict_truncated_fit_file_is_data_error(tmp_path, capsys):
     {"spline": {"degree": 3, "interior_knots": [0.7, 0.3]}},
     {"spline": {"degree": 3, "interior_knots": [0.3, 1.7]}},
     {"spline": {"degree": 3, "interior_knots": [0.0, 0.5]}},
+    {"kernel": {**KERNEL, "bandwidth": "fixed", "fixed_h": [float("nan"), 1.0, 1.0]}},
+    {"kernel": {**KERNEL, "bandwidth": "fixed", "fixed_h": [0.5, float("inf"), 1.0]}},
+    {"kernel": {**KERNEL, "seed": -1}},
 ], ids=[
     "one-value-range", "empty-range", "reversed-range", "nan-range",
     "no-range", "range-for-linear-column",
     "reversed-knots", "knot-above-one", "knot-on-boundary",
+    "nan-bandwidth", "infinite-bandwidth", "negative-seed",
 ])
 def test_predict_rejects_malformed_fit_file(tmp_path, capsys, edit):
     # two interior knots keep the coefficient shapes valid after the edits
@@ -474,6 +504,17 @@ def test_simulate_bad_scenario_file(tmp_path, capsys):
                "--out-prefix", str(tmp_path / "x")])
     assert rc == 2
     assert "flavor" in capsys.readouterr().err
+
+
+def test_simulate_nonfinite_mr_params(tmp_path, capsys):
+    # a NaN deletion coefficient used to leave its group complete
+    bad = tmp_path / "scenario.txt"
+    bad.write_text("n = 60\nreplications = 1\nseed = 1\nmr_params = nan,0.5,0.1,-1.1,0.3\n")
+    rc = main(["simulate", "--scenario", str(bad), "--methods", "cc",
+               "--out-prefix", str(tmp_path / "x")])
+    assert rc == 2
+    assert "finite" in capsys.readouterr().err
+    assert not list(tmp_path.glob("x*"))
 
 
 def test_simulate_unknown_method(tmp_path, capsys):

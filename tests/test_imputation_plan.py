@@ -1,17 +1,6 @@
-"""ImputationPlan against a direct per-cell Nadaraya-Watson formula.
+"""ImputationPlan against the direct per-cell Nadaraya-Watson formula of
+reference_kernel, on hypothesis tables and on hand-built edge cases."""
 
-The oracle below is written from the estimator's definition, one missing
-cell at a time: donors are the rows observing everything the unit observes
-plus the missing column; a donor's log-weight is the sum over observed
-columns of log K(diff / h_c) - log h_c (product kernel), or the mean over
-random directions v of log K(v.diff / h) - log h (resampled projection,
-with h from Silverman's rule on the pooled projected target-row
-differences of the pattern); a cell with no donor, or whose largest
-log-weight is below -700, takes the mean of the observed values or basis
-rows of its column.
-"""
-
-import math
 import warnings
 from collections import Counter
 
@@ -22,105 +11,20 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
-from conftest import imputed_columns, make_random_table
+from conftest import make_random_table
 from primeplm import ModelStructure, ObservationTable, build_pattern_index, make_spec
 from primeplm import kernel_impute
 from primeplm.errors import DegenerateSampleWarning
-from primeplm.kernel_impute import (
-    ImputationPlan,
-    KernelConfig,
-    _projected_sd,
-    draw_directions,
-)
+from primeplm.kernel_impute import ImputationPlan, KernelConfig, _projected_sd
 from primeplm.prime_fit import assemble_design
-from primeplm.spline import basis_matrix
+from reference_kernel import (
+    direct_imputation,
+    pattern_directions,
+    pooled_projected_differences,
+    silverman,
+)
 
-HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 SPEC = make_spec()
-
-
-def silverman(values, n):
-    """(h, degenerate) by 1.06 * sd * n**-0.2, sd 0 falling back to 1."""
-    sd = values.std(ddof=1) if values.size >= 2 else 0.0
-    degenerate = not (np.isfinite(sd) and sd > 0.0)
-    return 1.06 * (1.0 if degenerate else sd) * n ** -0.2, degenerate
-
-
-def pooled_projected_differences(x, mask, i, directions):
-    """(x_e - x_t) . v over every unit t sharing unit i's pattern, every other
-    row e observing that pattern's columns, and every direction v."""
-    cond = np.flatnonzero(mask[i])
-    targets = np.flatnonzero((mask == mask[i]).all(axis=1))
-    rows = np.flatnonzero(mask[:, cond].all(axis=1))
-    diffs = [
-        (x[e, cond] - x[t, cond]) @ directions.T for t in targets for e in rows if e != t
-    ]
-    return np.concatenate(diffs) if diffs else np.empty(0)
-
-
-def direct_imputation(table, config, spec):
-    """Every missing cell by the direct formula, in assemble_design's column
-    order.  Returns (values by cell, no-donor counts, underflow counts,
-    degenerate-bandwidth counts)."""
-    x, mask, n = table.x, table.mask, table.n
-    names = table.columns
-    no_donor, underflow, degenerate = Counter(), Counter(), Counter()
-    column_h = {}
-
-    def column_bandwidth(c):
-        if c not in column_h:
-            if config.bandwidth == "fixed":
-                column_h[c] = config.fixed_h[c]
-            else:
-                column_h[c], bad = silverman(x[mask[:, c], c], n)
-                if bad:
-                    degenerate[names[c]] += 1
-        return column_h[c]
-
-    pattern_h = {}
-    values = {}
-    order = [table.position(c) for c in table.structure.nonlinear + table.structure.linear]
-    for j in order:
-        nonlinear = names[j] in table.structure.nonlinear
-        observed = x[mask[:, j], j]
-        fallback = basis_matrix(spec, observed).mean(axis=0) if nonlinear else observed.mean()
-        for i in np.flatnonzero(~mask[:, j]):
-            cond = np.flatnonzero(mask[i])
-            donors = np.flatnonzero(mask[:, j] & mask[:, cond].all(axis=1))
-            if donors.size == 0:
-                no_donor[names[j]] += 1
-                values[i, j] = fallback
-                continue
-            diff = x[np.ix_(donors, cond)] - x[i, cond]
-            if config.projection == "resampled" and cond.size > config.projection_threshold:
-                seed = np.random.SeedSequence(
-                    [config.seed, kernel_impute._DIRECTION_TAG, *cond.tolist()]
-                )
-                v = draw_directions(
-                    cond.size, config.n_projections, config.projection_dist, seed
-                )
-                key = cond.tobytes()
-                if key not in pattern_h:
-                    pooled = pooled_projected_differences(x, mask, i, v)
-                    pattern_h[key], bad = silverman(pooled, n)
-                    if bad:
-                        degenerate["pattern:" + ",".join(names[c] for c in cond)] += 1
-                h = pattern_h[key]
-                s = diff @ v.T / h
-                logw = (-0.5 * s * s - HALF_LOG_2PI - math.log(h)).mean(axis=1)
-            else:
-                h = np.array([column_bandwidth(c) for c in cond])
-                u = diff / h
-                logw = (-0.5 * u * u - HALF_LOG_2PI - np.log(h)).sum(axis=1)
-            if logw.max() < -700.0:
-                underflow[names[j]] += 1
-                values[i, j] = fallback
-                continue
-            w = np.exp(logw - logw.max())
-            w /= w.sum()
-            donor_values = x[donors, j]
-            values[i, j] = w @ (basis_matrix(spec, donor_values) if nonlinear else donor_values)
-    return values, no_donor, underflow, degenerate
 
 
 def design_value(table, design, i, j, spec):
@@ -299,8 +203,7 @@ def test_projected_bandwidth_matches_pooled_two_pass():
     for pp in plan._patterns.values():
         if pp.cond.size <= 2:
             continue
-        seed = np.random.SeedSequence([4, kernel_impute._DIRECTION_TAG, *pp.cond.tolist()])
-        directions = draw_directions(pp.cond.size, 2, "standard_normal", seed)
+        directions = pattern_directions(config, pp.cond)
         proj = (directions[:, :, None] * table.x[np.ix_(pp.rows, pp.cond)].T).sum(axis=1)
         pooled = pooled_projected_differences(table.x, table.mask, pp.targets[0], directions)
         want = silverman(pooled, table.n)[0]
@@ -361,16 +264,3 @@ def test_chunked_design_is_bit_identical(monkeypatch, config, block):
     assert np.array_equal(whole.matrix, chunked.matrix)
     assert whole.imputation == chunked.imputation
 
-
-def test_single_cell_entry_points_agree_with_the_plan():
-    rng = np.random.default_rng(2)
-    table = make_random_table(rng, n=50, p=2, q=2, missing_rate=0.3)
-    pattern = build_pattern_index(table)
-    config = KernelConfig(seed=1)
-    values = imputed_columns(table, pattern, config, SPEC)
-    for i, j in np.argwhere(~table.mask)[:40]:
-        if table.columns[j] in table.structure.nonlinear:
-            got = kernel_impute.impute_basis_row(i, j, SPEC, table, pattern, config)
-        else:
-            got = kernel_impute.impute_linear_value(i, j, table, pattern, config)
-        assert np.array_equal(np.atleast_1d(got), values[j][i])

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -10,18 +9,9 @@ from numpy.testing import assert_allclose, assert_array_equal
 from conftest import imputed_columns, make_pattern_table, make_random_table
 from primeplm import ModelStructure, ObservationTable, build_pattern_index, make_spec
 from primeplm.errors import DegenerateSampleWarning, InvalidConfig
-from primeplm.kernel_impute import (
-    ImputationDiagnostics,
-    ImputationPlan,
-    KernelConfig,
-    draw_directions,
-    impute_basis_row,
-    impute_linear_value,
-    product_kernel_weight,
-    projected_kernel_weight,
-    silverman_bandwidth,
-)
+from primeplm.kernel_impute import ImputationPlan, KernelConfig, draw_directions
 from primeplm.spline import basis_matrix
+from reference_kernel import product_kernel_weight, projected_kernel_weight, silverman
 
 
 def two_column_table(a, b):
@@ -41,15 +31,24 @@ def missing_cells(table, columns):
     return [(i, j) for i in range(table.n) for j in columns if not table.mask[i, j]]
 
 
+def impute_column(table, config, j):
+    """Column j alone filled by one plan over the table, with the plan's
+    fallback counts."""
+    plan = ImputationPlan(table, build_pattern_index(table), config)
+    column = np.array(table.x[:, j : j + 1])
+    plan.impute({j: (column,)})
+    return column[:, 0], plan.diagnostics
+
+
 def test_silverman_examples():
     root = 1.0 / math.sqrt(2.0)
-    assert silverman_bandwidth(np.array([-root, root]), 32) == pytest.approx(0.53)
-    assert silverman_bandwidth(np.array([-2 * root, 2 * root]), 32) == pytest.approx(1.06)
+    assert silverman(np.array([-root, root]), 32) == (pytest.approx(0.53), False)
+    assert silverman(np.array([-2 * root, 2 * root]), 32) == (pytest.approx(1.06), False)
 
 
 def test_silverman_degenerate_fallback():
-    with pytest.warns(DegenerateSampleWarning):
-        h = silverman_bandwidth(np.full(5, 3.3), 32)
+    h, degenerate = silverman(np.full(5, 3.3), 32)
+    assert degenerate
     assert h == pytest.approx(1.06 / 2.0)
 
 
@@ -176,7 +175,7 @@ def test_nw_linear_micro_oracle():
     )
     pattern = build_pattern_index(table)
     config = KernelConfig(bandwidth="fixed", fixed_h=(0.25, 1.0))
-    got = impute_linear_value(0, 1, table, pattern, config)
+    got = imputed_columns(table, pattern, config)[1][0, 0]
     ws = [math.exp(-0.5 * ((v - 0.2) / 0.25) ** 2) for v in (0.1, 0.5, 0.35)]
     expected = sum(w * b for w, b in zip(ws, (5.0, 7.0, -1.0))) / sum(ws)
     assert got == pytest.approx(expected, abs=1e-12)
@@ -189,7 +188,7 @@ def test_nw_basis_row_micro_oracle():
     )
     pattern = build_pattern_index(table)
     config = KernelConfig(bandwidth="fixed", fixed_h=(1.0, 0.5))
-    got = impute_basis_row(0, 0, spec, table, pattern, config)
+    got = imputed_columns(table, pattern, config, spec)[0][0]
     ws = np.array([math.exp(-0.5 * ((b - 2.0) / 0.5) ** 2) for b in (1.0, 3.0, 4.0)])
     rows = basis_matrix(spec, np.array([0.15, 0.6, 0.8]))
     expected = (ws[:, None] * rows).sum(axis=0) / ws.sum()
@@ -203,7 +202,7 @@ def test_bandwidth_limit_behaviour():
     )
     pattern = build_pattern_index(table)
     wide = KernelConfig(bandwidth="fixed", fixed_h=(1e6, 1.0))
-    assert impute_linear_value(0, 1, table, pattern, wide) == pytest.approx(
+    assert imputed_columns(table, pattern, wide)[1][0, 0] == pytest.approx(
         (5.0 + 7.0 - 1.0) / 3.0, abs=1e-6
     )
     # vanishing bandwidth: a donor exactly matching the conditioning value
@@ -213,7 +212,7 @@ def test_bandwidth_limit_behaviour():
     )
     pattern_e = build_pattern_index(exact)
     narrow = KernelConfig(bandwidth="fixed", fixed_h=(1e-6, 1.0))
-    assert impute_linear_value(0, 1, exact, pattern_e, narrow) == pytest.approx(
+    assert imputed_columns(exact, pattern_e, narrow)[1][0, 0] == pytest.approx(
         5.0, abs=1e-9
     )
 
@@ -223,10 +222,8 @@ def test_no_donor_fallback_uses_observed_mean():
     table = two_column_table(
         a=[0.2, np.nan, np.nan], b=[np.nan, 5.0, 9.0]
     )
-    pattern = build_pattern_index(table)
-    diags = ImputationDiagnostics()
-    got = impute_linear_value(0, 1, table, pattern, KernelConfig(), diags)
-    assert got == pytest.approx(7.0)
+    got, diags = impute_column(table, KernelConfig(), 1)
+    assert got[0] == pytest.approx(7.0)
     assert diags.no_donor_fallbacks["b"] == 1
     assert diags.total_fallbacks == 1
 
@@ -235,11 +232,9 @@ def test_underflow_fallback_counted():
     table = two_column_table(
         a=[0.0, 100.0, 200.0], b=[np.nan, 5.0, 9.0]
     )
-    pattern = build_pattern_index(table)
-    diags = ImputationDiagnostics()
     config = KernelConfig(bandwidth="fixed", fixed_h=(1e-3, 1.0))
-    got = impute_linear_value(0, 1, table, pattern, config, diags)
-    assert got == pytest.approx(7.0)
+    got, diags = impute_column(table, config, 1)
+    assert got[0] == pytest.approx(7.0)
     assert diags.underflow_fallbacks["b"] == 1
 
 
@@ -247,10 +242,8 @@ def test_degenerate_column_bandwidth_warns_and_counts():
     table = two_column_table(
         a=[0.5, 0.5, 0.5, 0.5], b=[np.nan, 5.0, 7.0, -1.0]
     )
-    pattern = build_pattern_index(table)
-    diags = ImputationDiagnostics()
     with pytest.warns(DegenerateSampleWarning):
-        impute_linear_value(0, 1, table, pattern, KernelConfig(), diags)
+        _, diags = impute_column(table, KernelConfig(), 1)
     assert diags.degenerate_bandwidths["a"] == 1
 
 
@@ -301,9 +294,11 @@ def test_row_permutation_invariance():
     pattern_s = build_pattern_index(shuffled)
     config = KernelConfig()
     inverse = np.argsort(perm)
+    values = imputed_columns(table, pattern, config)
+    values_s = imputed_columns(shuffled, pattern_s, config)
     for i, j in missing_cells(table, table.linear_pos):
-        a = impute_linear_value(i, j, table, pattern, config)
-        b = impute_linear_value(int(inverse[i]), j, shuffled, pattern_s, config)
+        a = values[j][i, 0]
+        b = values_s[j][inverse[i], 0]
         assert a == pytest.approx(b, abs=1e-12)
 
 
@@ -311,19 +306,22 @@ def test_projection_threshold_gates_resampling():
     rng = np.random.default_rng(4)
     table = make_random_table(rng, n=60, p=3, q=4, missing_rate=0.2)
     pattern = build_pattern_index(table)
-    plain = KernelConfig()
-    gated = KernelConfig(projection="resampled", n_projections=2,
-                         projection_threshold=99, seed=3)
-    active = KernelConfig(projection="resampled", n_projections=2,
-                          projection_threshold=2, seed=3)
+    plain, gated, active = (
+        imputed_columns(table, pattern, config)
+        for config in (
+            KernelConfig(),
+            KernelConfig(projection="resampled", n_projections=2,
+                         projection_threshold=99, seed=3),
+            KernelConfig(projection="resampled", n_projections=2,
+                         projection_threshold=2, seed=3),
+        )
+    )
     saw_difference = False
     for i, j in missing_cells(table, table.linear_pos):
-        a = impute_linear_value(i, j, table, pattern, plain)
-        b = impute_linear_value(i, j, table, pattern, gated)
-        assert a == pytest.approx(b, abs=1e-12)
+        a = plain[j][i, 0]
+        assert a == pytest.approx(gated[j][i, 0], abs=1e-12)
         if table.mask[i].sum() > 2:
-            c = impute_linear_value(i, j, table, pattern, active)
-            saw_difference = saw_difference or abs(a - c) > 1e-9
+            saw_difference = saw_difference or abs(a - active[j][i, 0]) > 1e-9
     assert saw_difference
 
 
@@ -333,7 +331,7 @@ def test_projection_requires_fewer_directions_than_coords():
     config = KernelConfig(projection="resampled", n_projections=2,
                           projection_threshold=0)
     with pytest.raises(InvalidConfig):
-        impute_linear_value(0, 1, table, pattern, config)
+        imputed_columns(table, pattern, config)
 
 
 def test_kernel_config_validation():
@@ -343,6 +341,12 @@ def test_kernel_config_validation():
         KernelConfig(bandwidth="fixed")
     with pytest.raises(InvalidConfig):
         KernelConfig(bandwidth="fixed", fixed_h=(0.0, 1.0))
+    for h in (math.nan, math.inf):
+        with pytest.raises(InvalidConfig, match="finite and positive"):
+            KernelConfig(bandwidth="fixed", fixed_h=(0.5, h))
+    for projection in ("none", "resampled"):
+        with pytest.raises(InvalidConfig, match="seed"):
+            KernelConfig(projection=projection, seed=-1)
     with pytest.raises(InvalidConfig):
         KernelConfig(projection="resampled", n_projections=0)
     with pytest.raises(InvalidConfig):

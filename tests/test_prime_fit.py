@@ -29,8 +29,9 @@ from primeplm.errors import (
     UnknownColumn,
 )
 from primeplm import prime_fit
-from primeplm.kernel_impute import KernelConfig, product_kernel_weight
+from primeplm.kernel_impute import KernelConfig
 from primeplm.prime_fit import FitDiagnostics, assemble_design, solve_least_squares
+from reference_kernel import product_kernel_weight
 
 
 def textbook_design(table, degree=3):

@@ -321,6 +321,12 @@ def test_scenario_config_validation():
         small_config(mr_params=(0.1, 0.2, 0.3))
     with pytest.raises(InvalidConfig):
         small_config(mr_params=(0.1, 0.5, 0.1, -1.1, 1.3))
+    for position in range(4):  # e already has to lie in [0, 1]
+        for value in (math.nan, math.inf, -math.inf):
+            params = list(MR_PARAMS_60)
+            params[position] = value
+            with pytest.raises(InvalidConfig, match="finite"):
+                small_config(mr_params=tuple(params))
     with pytest.raises(InvalidConfig):
         small_config(error_mode="cauchy")
     with pytest.raises(InvalidConfig):
