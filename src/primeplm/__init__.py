@@ -63,7 +63,6 @@ from .simulation import (
     apply_missing_scenario2,
     gen_covariates,
     gen_errors,
-    pe_ratio,
     run_study,
     sigma_for_r2,
     true_mean,
@@ -93,5 +92,5 @@ __all__ = [
     "TRUE_BETA", "MR_PARAMS_60", "MR_PARAMS_85", "SIM_COLUMNS", "SIM_STRUCTURE",
     "ScenarioConfig", "MethodMetrics", "ReplicationRecord", "MetricsReport",
     "gen_covariates", "true_mean", "sigma_for_r2", "gen_errors",
-    "apply_missing_scenario1", "apply_missing_scenario2", "run_study", "pe_ratio",
+    "apply_missing_scenario1", "apply_missing_scenario2", "run_study",
 ]

@@ -9,21 +9,27 @@ from __future__ import annotations
 import os
 
 
-def read_kv_file(path: str | os.PathLike) -> dict[str, str]:
+def read_kv_file(path: str | os.PathLike, error: type[Exception]) -> dict[str, str]:
+    """The file's assignments; a malformed file raises ``error`` naming its
+    path and, for a bad line, the line number."""
     out: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as err:
+            raise error(f"{path}: not UTF-8 text ({err.reason})") from None
+        for lineno, raw in enumerate(lines, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+                raise error(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
             key, value = line.split("=", 1)
             key = key.strip()
             if not key:
-                raise ValueError(f"{path}:{lineno}: empty key")
+                raise error(f"{path}:{lineno}: empty key")
             if key in out:
-                raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
+                raise error(f"{path}:{lineno}: duplicate key {key!r}")
             out[key] = value.strip()
     return out
 

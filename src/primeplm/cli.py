@@ -13,6 +13,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import astuple, fields
 
 import numpy as np
 
@@ -31,7 +32,14 @@ from .errors import (
 from .kernel_impute import KernelConfig
 from .model_averaging import fit_prime_ma
 from .prime_fit import fit_prime, load_fit, predict, save_fit
-from .simulation import TRUE_BETA, MetricsReport, run_study, scenario_from_entries
+from .simulation import (
+    _SETTINGS,
+    TRUE_BETA,
+    MethodMetrics,
+    MetricsReport,
+    run_study,
+    scenario_from_entries,
+)
 from .spline import make_spec
 
 # any other PrimeError is a data problem (exit 3)
@@ -43,12 +51,14 @@ _NUMERICAL_ERRORS = (
     np.linalg.LinAlgError,
 )
 
-SUMMARY_HEADER = [
-    "method", "n", "n_test", "rho", "error_mode", "missing",
-    "mr_a", "mr_b", "mr_c", "mr_d", "mr_e", "r_squared",
-    "replications", "seed", "n_ok", "n_failed",
-    "pe", "pe_sd", "pe_ratio", "mse", "variance", "bias_sq",
+# a summary row: the method, the scenario settings (mr_params spread over
+# mr_a..mr_e), then MethodMetrics' other fields
+_MR_COLUMNS = ("mr_a", "mr_b", "mr_c", "mr_d", "mr_e")
+_SETTING_COLUMNS = [
+    column for key, _, _ in _SETTINGS
+    for column in (_MR_COLUMNS if key == "mr_params" else (key,))
 ]
+SUMMARY_HEADER = ["method", *_SETTING_COLUMNS, *(f.name for f in fields(MethodMetrics)[1:])]
 
 REPLICATION_HEADER = ["method", "replication", "ok", "pe", "beta_sq_err", "error"]
 
@@ -129,8 +139,9 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
+def _cell(value) -> str:
+    """A CSV cell: a float as its round-trip repr, anything else as str."""
+    return repr(float(value)) if isinstance(value, float) else str(value)
 
 
 def _write_predictions(path: str, preds: np.ndarray, meta: dict) -> None:
@@ -258,27 +269,18 @@ def cmd_average(args) -> int:
 
 
 def _summary_rows(report: MetricsReport) -> list[list[str]]:
-    cfg = report.config
-    rows = []
-    for method in report.methods:
-        m = report.metrics[method]
-        rows.append([
-            method, str(cfg.n), str(cfg.n_test), cfg.rho_mode, cfg.error_mode,
-            cfg.missing,
-            *(_fmt(v) for v in cfg.mr_params),
-            _fmt(cfg.r_squared), str(cfg.replications), str(cfg.seed),
-            str(m.n_ok), str(m.n_failed),
-            _fmt(m.pe), _fmt(m.pe_sd), _fmt(m.pe_ratio),
-            _fmt(m.mse), _fmt(m.variance), _fmt(m.bias_sq),
-        ])
-    return rows
+    settings = []
+    for _, name, _ in _SETTINGS:
+        value = getattr(report.config, name)
+        settings += map(_cell, value) if name == "mr_params" else [_cell(value)]
+    return [
+        [method, *settings, *map(_cell, astuple(report.metrics[method])[1:])]
+        for method in report.methods
+    ]
 
 
 def cmd_simulate(args) -> int:
-    try:
-        entries = read_kv_file(args.scenario)
-    except ValueError as err:
-        raise InvalidConfig(str(err)) from None
+    entries = read_kv_file(args.scenario, InvalidConfig)
     if args.n is not None:
         entries["n"] = str(args.n)
     if args.replications is not None:
@@ -304,11 +306,11 @@ def cmd_simulate(args) -> int:
         for rec in report.records:
             beta_err = ""
             if rec.beta is not None:
-                beta_err = _fmt(((np.array(rec.beta) - TRUE_BETA) ** 2).sum())
+                beta_err = _cell(((np.array(rec.beta) - TRUE_BETA) ** 2).sum())
             writer.writerow([
                 rec.method, str(rec.replication),
                 "1" if rec.pe is not None else "0",
-                _fmt(rec.pe) if rec.pe is not None else "",
+                _cell(rec.pe) if rec.pe is not None else "",
                 beta_err,
                 rec.error or "",
             ])
@@ -319,12 +321,7 @@ def cmd_simulate(args) -> int:
         "version": 1,
         "tool_version": __version__,
         "scenario_file": str(args.scenario),
-        "config": {
-            "n": config.n, "n_test": config.n_test, "rho": config.rho_mode,
-            "error_mode": config.error_mode, "missing": config.missing,
-            "mr_params": list(config.mr_params), "r_squared": config.r_squared,
-            "replications": config.replications, "seed": config.seed,
-        },
+        "config": {key: getattr(config, name) for key, name, _ in _SETTINGS},
         "methods": list(methods),
         "outputs": [summary_path, repl_path],
     })
@@ -347,21 +344,26 @@ def cmd_simulate(args) -> int:
 def _read_summary(path: str) -> list[dict[str, str]]:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedCsv(f"{path}: empty file") from None
+        header = next(reader, None)
+        if header is None:
+            raise MalformedCsv(f"{path}: empty file")
         if header != SUMMARY_HEADER:
             raise StructureMismatch(
                 f"{path}: not a summary file (unexpected columns)"
             )
-        return [dict(zip(header, row)) for row in reader]
-
-
-_SETTING_KEYS = [
-    "n", "n_test", "rho", "error_mode", "missing",
-    "mr_a", "mr_b", "mr_c", "mr_d", "mr_e", "r_squared", "replications", "seed",
-]
+        rows = []
+        for cells in reader:
+            where = f"{path}:{reader.line_num}"
+            if len(cells) != len(header):
+                raise MalformedCsv(f"{where}: {len(cells)} cells, expected {len(header)}")
+            row = dict(zip(header, cells))
+            for key in ("r_squared", "pe", "pe_sd"):  # the cells report reads as numbers
+                try:
+                    float(row[key])
+                except ValueError:
+                    raise MalformedCsv(f"{where}: {key} {row[key]!r} is not a number") from None
+            rows.append(row)
+        return rows
 
 
 def cmd_report(args) -> int:
@@ -374,7 +376,7 @@ def cmd_report(args) -> int:
     settings: dict[tuple, dict[str, dict[str, str]]] = {}
     methods: list[str] = []
     for row in rows:
-        key = tuple(row[k] for k in _SETTING_KEYS)
+        key = tuple(row[k] for k in _SETTING_COLUMNS)
         settings.setdefault(key, {})[row["method"]] = row
         if row["method"] not in methods:
             methods.append(row["method"])
@@ -384,20 +386,19 @@ def cmd_report(args) -> int:
     lines.append("| " + " | ".join(head) + " |")
     lines.append("|" + "|".join("---" for _ in head) + "|")
     for key, per_method in settings.items():
-        setting = dict(zip(_SETTING_KEYS, key))
+        setting = dict(zip(_SETTING_COLUMNS, key))
         cells = [
             setting["n"], setting["rho"], setting["error_mode"],
             setting["missing"], setting["mr_e"],
             f"{float(setting['r_squared']):g}",
         ]
         pes = {
-            m: float(r["pe"]) for m, r in per_method.items()
-            if r["pe"] and np.isfinite(float(r["pe"]))
+            m: float(r["pe"]) for m, r in per_method.items() if np.isfinite(float(r["pe"]))
         }
         best = min(pes, key=pes.get) if pes else None
         for method in methods:
             row = per_method.get(method)
-            if row is None or not row["pe"]:
+            if row is None:
                 cells.append("-")
                 continue
             pe, sd = float(row["pe"]), float(row["pe_sd"])

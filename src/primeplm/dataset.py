@@ -202,7 +202,7 @@ def minmax_normalize(table: ObservationTable) -> tuple[ObservationTable, Normali
 
 def load_structure(path: str | os.PathLike) -> tuple[ModelStructure, str]:
     """Read a structure sidecar: response, nonlinear, linear keys."""
-    entries = read_kv_file(path)
+    entries = read_kv_file(path, StructureMismatch)
     unknown = set(entries) - {"response", "nonlinear", "linear"}
     if unknown:
         raise StructureMismatch(f"unknown structure keys: {sorted(unknown)}")

@@ -20,7 +20,9 @@ class StructureMismatch(PrimeError):
 
 
 class DegenerateColumn(PrimeError):
-    """A nonlinear column has fewer than two distinct observed values."""
+    """A column that cannot be used as it stands: a nonlinear column with
+    fewer than two distinct observed values, a column that is never
+    observed, or a candidate column constant on the complete cases."""
 
 
 class UnknownColumn(PrimeError):
@@ -65,17 +67,14 @@ class InvalidConfig(PrimeError):
 
 
 class BadFitFile(PrimeError):
-    """Fit file missing the magic header or with an unsupported version."""
+    """A fit file that cannot be read back: not JSON, a wrong header or
+    version, or a field that is missing, unknown, malformed or non-finite."""
 
 
 # -- model averaging ---------------------------------------------------------
 
 class SingularGram(PrimeError):
     """Cross-product matrix of a candidate design is not invertible."""
-
-
-class MissingBaseline(PrimeError):
-    """A ratio table was requested without the baseline method present."""
 
 
 # -- warnings ----------------------------------------------------------------

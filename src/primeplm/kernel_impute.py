@@ -327,7 +327,7 @@ class ImputationPlan:
                     f"column {self.table.columns[j]!r} is never observed; nothing to impute"
                 )
         fallback = {j: [out[mask[:, j]].mean(axis=0) for out in arrays[j]] for j in arrays}
-        no_donor, underflow = Counter(), Counter()
+        diag = self.diagnostics
         for pp in self._patterns.values():
             todo = [j for j in pp.missing if j in arrays]
             for j, chunk, donors, w, kept in self._weights(pp, pp.targets, todo):
@@ -339,13 +339,8 @@ class ImputationPlan:
                     total = w.sum(axis=1)[:, None]
                     out[chunk[kept]] = np.matmul(w[:, None, :], out[donors])[:, 0, :] / total
                     out[chunk[~kept]] = mean
+                name = self.table.columns[j]
                 if w is None:
-                    no_donor[j] += chunk.size
-                else:
-                    underflow[j] += chunk.size - w.shape[0]
-        for j in arrays:  # counters keyed in the order of ``values``
-            name = self.table.columns[j]
-            if no_donor[j]:
-                self.diagnostics.no_donor_fallbacks[name] += no_donor[j]
-            if underflow[j]:
-                self.diagnostics.underflow_fallbacks[name] += underflow[j]
+                    diag.no_donor_fallbacks[name] += chunk.size
+                elif chunk.size > w.shape[0]:
+                    diag.underflow_fallbacks[name] += chunk.size - w.shape[0]

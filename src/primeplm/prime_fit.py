@@ -16,7 +16,8 @@ import copy
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 import scipy.linalg
@@ -125,10 +126,6 @@ class _Imputed:
         labels += [f"{name}:b{l + 1}" for name in table.structure.nonlinear for l in range(L)]
         labels += table.structure.linear
         imputation = copy.deepcopy(self.imputation)  # every design owns its counters
-        for counts in (imputation.no_donor_fallbacks, imputation.underflow_fallbacks):
-            for name in table.structure.nonlinear + table.structure.linear:
-                if name in counts:  # keyed nonlinear first, as fit_prime's plan keys them
-                    counts[name] = counts.pop(name)
         return DesignMatrix(np.hstack(pieces), tuple(labels), means, imputation)
 
 
@@ -322,8 +319,26 @@ def estimate_g(fit: PrimeFit, j: int | str, grid: np.ndarray) -> np.ndarray:
 # -- fit-file round trip -------------------------------------------------------
 
 
+_DIAGNOSTICS = tuple(f.name for f in fields(FitDiagnostics))
+_COUNTERS = tuple(f.name for f in fields(ImputationDiagnostics))
+
+
+def _diagnostics_payload(diag: FitDiagnostics, structure: ModelStructure) -> dict:
+    """FitDiagnostics' fields, ``imputation`` spelled out as its counters; the
+    fallback counters list the structure's columns nonlinear first, then linear."""
+    block = {}
+    for name in _DIAGNOSTICS:
+        if name == "imputation":
+            block.update({counter: getattr(diag.imputation, counter) for counter in _COUNTERS})
+        else:
+            block[name] = getattr(diag, name)
+    rank = {name: k for k, name in enumerate(structure.nonlinear + structure.linear)}
+    for name in ("no_donor_fallbacks", "underflow_fallbacks"):
+        block[name] = dict(sorted(block[name].items(), key=lambda item: rank.get(item[0], -1)))
+    return block
+
+
 def _fit_payload(fit: PrimeFit) -> dict:
-    diag = fit.diagnostics
     return {
         "format": _FIT_FORMAT,
         "version": _FIT_VERSION,
@@ -336,36 +351,13 @@ def _fit_payload(fit: PrimeFit) -> dict:
             "degree": fit.spec.degree,
             "interior_knots": list(fit.spec.interior_knots),
         },
-        "kernel": {
-            "bandwidth": fit.kernel_config.bandwidth,
-            "fixed_h": (
-                list(fit.kernel_config.fixed_h)
-                if fit.kernel_config.fixed_h is not None
-                else None
-            ),
-            "projection": fit.kernel_config.projection,
-            "n_projections": fit.kernel_config.n_projections,
-            "projection_dist": fit.kernel_config.projection_dist,
-            "projection_threshold": fit.kernel_config.projection_threshold,
-            "seed": fit.kernel_config.seed,
-        },
+        "kernel": asdict(fit.kernel_config),
         "normalization": {k: list(v) for k, v in fit.normalization.ranges.items()},
         "intercept": fit.intercept,
         "curve_coefs": fit.curve_coefs.tolist(),
         "linear_coefs": fit.linear_coefs.tolist(),
         "centering_means": fit.centering_means.tolist(),
-        "diagnostics": {
-            "n_rows": diag.n_rows,
-            "n_columns": diag.n_columns,
-            "rank": diag.rank,
-            "rank_deficient": diag.rank_deficient,
-            "condition_estimate": diag.condition_estimate,
-            "n_complete": diag.n_complete,
-            "no_donor_fallbacks": dict(diag.imputation.no_donor_fallbacks),
-            "underflow_fallbacks": dict(diag.imputation.underflow_fallbacks),
-            "degenerate_bandwidths": dict(diag.imputation.degenerate_bandwidths),
-            "notes": list(diag.notes),
-        },
+        "diagnostics": _diagnostics_payload(fit.diagnostics, fit.structure),
     }
 
 
@@ -398,6 +390,8 @@ def _array(payload: dict, key: str, shape: tuple[int, ...]) -> np.ndarray:
     # a (0, L) matrix serializes as []
     if values.shape != shape and not (values.size == 0 and math.prod(shape) == 0):
         raise ValueError(f"{key!r} has shape {values.shape}, expected {shape}")
+    if not np.isfinite(values).all():
+        raise ValueError(f"{key!r} holds a non-finite value")
     return values.reshape(shape)
 
 
@@ -424,38 +418,24 @@ def _fit_from_payload(payload: dict) -> PrimeFit:
     if sorted(ranges) != sorted(structure.nonlinear):
         raise ValueError("'normalization' keys do not match the nonlinear columns")
     normalization = NormalizationMap({k: _range(k, v) for k, v in ranges.items()})
-    kern = payload["kernel"]
-    config = KernelConfig(
-        bandwidth=kern["bandwidth"],
-        fixed_h=tuple(kern["fixed_h"]) if kern["fixed_h"] is not None else None,
-        projection=kern["projection"],
-        n_projections=kern["n_projections"],
-        projection_dist=kern["projection_dist"],
-        projection_threshold=kern["projection_threshold"],
-        seed=kern["seed"],
-    )
-    diag_raw = payload["diagnostics"]
-    imputation = ImputationDiagnostics()
-    imputation.no_donor_fallbacks.update(diag_raw["no_donor_fallbacks"])
-    imputation.underflow_fallbacks.update(diag_raw["underflow_fallbacks"])
-    imputation.degenerate_bandwidths.update(diag_raw["degenerate_bandwidths"])
+    kernel = dict(payload["kernel"])
+    if sorted(kernel) != sorted(f.name for f in fields(KernelConfig)):
+        raise ValueError(f"'kernel' keys {sorted(kernel)} are not KernelConfig's fields")
+    if kernel["fixed_h"] is not None:
+        kernel["fixed_h"] = tuple(kernel["fixed_h"])
+    raw = payload["diagnostics"]
+    imputation = ImputationDiagnostics(*(Counter(raw[name]) for name in _COUNTERS))
     diagnostics = FitDiagnostics(
-        n_rows=diag_raw["n_rows"],
-        n_columns=diag_raw["n_columns"],
-        rank=diag_raw["rank"],
-        rank_deficient=diag_raw["rank_deficient"],
-        condition_estimate=diag_raw["condition_estimate"],
-        n_complete=diag_raw["n_complete"],
+        **{name: raw[name] for name in _DIAGNOSTICS if name != "imputation"},
         imputation=imputation,
-        notes=list(diag_raw["notes"]),
     )
     return PrimeFit(
         structure=structure,
         columns=columns,
         spec=spec,
-        kernel_config=config,
+        kernel_config=KernelConfig(**kernel),
         normalization=normalization,
-        intercept=float(payload["intercept"]),
+        intercept=float(_array(payload, "intercept", ())),
         curve_coefs=_array(payload, "curve_coefs", (structure.p, spec.basis_size)),
         linear_coefs=_array(payload, "linear_coefs", (structure.q,)),
         centering_means=_array(payload, "centering_means", (structure.p, spec.basis_size)),

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .dataset import ModelStructure, ObservationTable
-from .errors import InvalidConfig, MissingBaseline, PrimeError
+from .errors import InvalidConfig, PrimeError
 from .kernel_impute import KernelConfig
 from .model_averaging import AveragedFit, fit_prime_ma
 from .prime_fit import fit_cc, fit_mean_impute, fit_prime, predict
@@ -46,7 +46,6 @@ __all__ = [
     "calibration_mu_samples",
     "calibration_sum_sq",
     "run_study",
-    "pe_ratio",
     "scenario_from_entries",
 ]
 
@@ -110,6 +109,21 @@ class ScenarioConfig:
         object.__setattr__(self, "mr_params", params)
         if self.seed < 0:
             raise InvalidConfig("seed must be a nonnegative integer")
+
+
+# Each scenario setting: its scenario-file key, its ScenarioConfig field and
+# the parser of its text, in the order summaries and provenance write them.
+_SETTINGS = (
+    ("n", "n", int),
+    ("n_test", "n_test", int),
+    ("rho", "rho_mode", str),
+    ("error_mode", "error_mode", str),
+    ("missing", "missing", str),
+    ("mr_params", "mr_params", lambda text: tuple(float(v) for v in text.split(","))),
+    ("r_squared", "r_squared", float),
+    ("replications", "replications", int),
+    ("seed", "seed", int),
+)
 
 
 @lru_cache(maxsize=None)
@@ -451,64 +465,25 @@ def run_study(
     return _aggregate(config, methods, records)
 
 
-def pe_ratio(reports) -> list[tuple[float, str, float]]:
-    """(r_squared, method, PE ratio vs the partial-replacement fit) rows."""
-    if isinstance(reports, MetricsReport):
-        reports = [reports]
-    rows: list[tuple[float, str, float]] = []
-    for report in sorted(reports, key=lambda r: r.config.r_squared):
-        if "prime" not in report.metrics or not np.isfinite(report.metrics["prime"].pe):
-            raise MissingBaseline("PE ratios need a successful 'prime' baseline")
-        for method in report.methods:
-            rows.append(
-                (report.config.r_squared, method, report.metrics[method].pe_ratio)
-            )
-    return rows
-
-
 def scenario_from_entries(entries: dict[str, str]) -> ScenarioConfig:
     """Build a config from key=value pairs (strings); unknown keys raise."""
-    known = {
-        "n", "n_test", "rho", "error_mode", "r_squared", "missing",
-        "mr_params", "mr", "replications", "seed",
-    }
-    unknown = sorted(set(entries) - known)
+    unknown = sorted(set(entries) - {key for key, _, _ in _SETTINGS} - {"mr"})
     if unknown:
         raise InvalidConfig(f"unknown scenario keys: {unknown}")
     if "mr" in entries and "mr_params" in entries:
         raise InvalidConfig("give either mr or mr_params, not both")
-
-    def need(key: str) -> str:
-        if key not in entries:
+    fields = dataclasses.fields(ScenarioConfig)
+    required = {f.name for f in fields if f.default is dataclasses.MISSING}
+    for key, name, _ in _SETTINGS:
+        if name in required and key not in entries:
             raise InvalidConfig(f"scenario file is missing required key {key!r}")
-        return entries[key]
-
     try:
-        kwargs: dict = {
-            "n": int(need("n")),
-            "replications": int(need("replications")),
-            "seed": int(need("seed")),
-        }
-        if "n_test" in entries:
-            kwargs["n_test"] = int(entries["n_test"])
-        if "rho" in entries:
-            kwargs["rho_mode"] = entries["rho"]
-        if "error_mode" in entries:
-            kwargs["error_mode"] = entries["error_mode"]
-        if "r_squared" in entries:
-            kwargs["r_squared"] = float(entries["r_squared"])
-        if "missing" in entries:
-            kwargs["missing"] = entries["missing"]
+        kwargs = {name: parse(entries[key]) for key, name, parse in _SETTINGS if key in entries}
         if "mr" in entries:
             presets = {"60": MR_PARAMS_60, "85": MR_PARAMS_85}
             if entries["mr"] not in presets:
-                raise InvalidConfig(
-                    f"mr preset must be 60 or 85, got {entries['mr']!r}"
-                )
+                raise InvalidConfig(f"mr preset must be 60 or 85, got {entries['mr']!r}")
             kwargs["mr_params"] = presets[entries["mr"]]
-        if "mr_params" in entries:
-            parts = [float(v) for v in entries["mr_params"].split(",")]
-            kwargs["mr_params"] = tuple(parts)
         return ScenarioConfig(**kwargs)
     except (TypeError, ValueError) as err:
         raise InvalidConfig(f"bad scenario value: {err}") from None

@@ -2,21 +2,23 @@
 
 Run from the repository root:
 
-    python3 tests/data/make_fixtures.py
+    python3 tests/data/make_fixtures.py [OUT_DIR]
 
-The files are committed; this script only exists so they can be rebuilt
-(or audited) without guessing where the numbers came from.
+OUT_DIR defaults to this directory.  The files are committed; this script
+only exists so they can be rebuilt (or audited) without guessing where the
+numbers came from.
 """
 
 import csv
 import pathlib
+import sys
 
 import numpy as np
 
 HERE = pathlib.Path(__file__).parent
 
 
-def main() -> None:
+def main(out: pathlib.Path = HERE) -> None:
     rng = np.random.default_rng(2024)
     n = 80
     u1 = rng.uniform(0.0, 1.0, n)
@@ -25,7 +27,7 @@ def main() -> None:
     eps = rng.normal(0.0, 0.3, n)
     y = np.sin(2.0 * np.pi * u1) + 1.0 * w1 - 0.5 * w2 + eps
 
-    with open(HERE / "toy.csv", "w", encoding="utf-8", newline="") as fh:
+    with open(out / "toy.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["y", "u1", "w1", "w2"])
         for i in range(n):
@@ -33,7 +35,7 @@ def main() -> None:
 
     # same rows with holes punched in the covariates; the first two rows
     # stay complete so every donor search has somewhere to land
-    with open(HERE / "toy_missing.csv", "w", encoding="utf-8", newline="") as fh:
+    with open(out / "toy_missing.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["y", "u1", "w1", "w2"])
         for i in range(n):
@@ -49,4 +51,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    main(pathlib.Path(sys.argv[1]) if len(sys.argv) > 1 else HERE)

@@ -143,6 +143,24 @@ def test_malformed_csv_is_data_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, where", [
+    (b"response = y\nnonlinear u1\n", ":2:"),
+    (b"response = y\n = u1\n", ":2:"),
+    (b"response = y\nlinear = w1\nnonlinear = u1\nlinear = w2\n", ":4:"),
+    (b"response = y\xff\n", ": not UTF-8"),
+], ids=["no-equals", "empty-key", "duplicate-key", "not-utf8"])
+def test_malformed_structure_sidecar_is_data_error(tmp_path, capsys, text, where):
+    sidecar = tmp_path / "structure.txt"
+    sidecar.write_bytes(text)
+    rc = main([
+        "fit", "--data", TOY, "--structure", str(sidecar),
+        "--fit-out", str(tmp_path / "f.json"), "--seed", "1",
+    ])
+    assert rc == 3
+    assert f"{sidecar}{where}" in capsys.readouterr().err
+    assert not (tmp_path / "f.json").exists()
+
+
 def test_underdetermined_fit_is_numerical_error(tmp_path, capsys):
     few = tmp_path / "few.csv"
     with open(TOY) as fh:
@@ -312,11 +330,21 @@ KERNEL = {
     {"kernel": {**KERNEL, "bandwidth": "fixed", "fixed_h": [float("nan"), 1.0, 1.0]}},
     {"kernel": {**KERNEL, "bandwidth": "fixed", "fixed_h": [0.5, float("inf"), 1.0]}},
     {"kernel": {**KERNEL, "seed": -1}},
+    # a kernel block must hold every KernelConfig field and nothing else
+    {"kernel": {k: v for k, v in KERNEL.items() if k != "seed"}},
+    {"kernel": {**KERNEL, "bandwith": "silverman"}},
+    # coefficients that would predict nan or inf for every row
+    {"intercept": float("nan")},
+    {"curve_coefs": [[float("inf")] + [0.0] * 5]},
+    {"linear_coefs": [1.0, float("-inf")]},
+    {"centering_means": [[0.0] * 5 + [float("nan")]]},
 ], ids=[
     "one-value-range", "empty-range", "reversed-range", "nan-range",
     "no-range", "range-for-linear-column",
     "reversed-knots", "knot-above-one", "knot-on-boundary",
     "nan-bandwidth", "infinite-bandwidth", "negative-seed",
+    "kernel-key-missing", "kernel-key-extra",
+    "nan-intercept", "infinite-curve-coef", "infinite-linear-coef", "nan-centering-mean",
 ])
 def test_predict_rejects_malformed_fit_file(tmp_path, capsys, edit):
     # two interior knots keep the coefficient shapes valid after the edits
@@ -431,12 +459,20 @@ def read_csv_rows(path):
 
 def test_simulate_summary_schema(study_prefix):
     rows = read_csv_rows(f"{study_prefix}_summary.csv")
-    assert rows[0] == SUMMARY_HEADER
+    assert rows[0] == SUMMARY_HEADER == [
+        "method", "n", "n_test", "rho", "error_mode", "missing",
+        "mr_a", "mr_b", "mr_c", "mr_d", "mr_e", "r_squared",
+        "replications", "seed", "n_ok", "n_failed",
+        "pe", "pe_sd", "pe_ratio", "mse", "variance", "bias_sq",
+    ]
     assert [r[0] for r in rows[1:]] == ["prime", "cc"]
     for row in rows[1:]:
+        # the settings of scenario_small.txt, as the summary spells them
+        assert row[1:14] == [
+            "60", "50", "0.3", "homoscedastic", "scenario1",
+            "0.1", "0.5", "0.1", "-1.1", "0.3", "0.7", "2", "7",
+        ]
         rec = dict(zip(SUMMARY_HEADER, row))
-        assert rec["n"] == "60" and rec["seed"] == "7"
-        assert rec["replications"] == "2"
         assert float(rec["pe"]) > 0.0
         assert int(rec["n_ok"]) + int(rec["n_failed"]) == 2
     prime = dict(zip(SUMMARY_HEADER, rows[1]))
@@ -456,15 +492,49 @@ def test_simulate_replication_log(study_prefix):
             assert rec["error"]
 
 
+PROVENANCE = """{
+  "format": "primeplm.provenance",
+  "version": 1,
+  "tool_version": %(version)s,
+  "scenario_file": %(scenario)s,
+  "config": {
+    "n": 60,
+    "n_test": 50,
+    "rho": "0.3",
+    "error_mode": "homoscedastic",
+    "missing": "scenario1",
+    "mr_params": [
+      0.1,
+      0.5,
+      0.1,
+      -1.1,
+      0.3
+    ],
+    "r_squared": 0.7,
+    "replications": 2,
+    "seed": 7
+  },
+  "methods": [
+    "prime",
+    "cc"
+  ],
+  "outputs": [
+    %(summary)s,
+    %(replications)s
+  ]
+}
+"""
+
+
 def test_simulate_provenance(study_prefix):
-    payload = json.loads(
-        pathlib.Path(f"{study_prefix}_provenance.json").read_text()
-    )
-    assert payload["format"] == "primeplm.provenance"
-    assert payload["config"]["n"] == 60
-    assert payload["config"]["seed"] == 7
-    assert payload["methods"] == ["prime", "cc"]
-    assert not any("time" in k or "date" in k for k in payload)
+    # the bytes, so a change to the layout or the key order shows
+    want = PROVENANCE % {
+        "version": json.dumps(cli.__version__),
+        "scenario": json.dumps(SCENARIO),
+        "summary": json.dumps(f"{study_prefix}_summary.csv"),
+        "replications": json.dumps(f"{study_prefix}_replications.csv"),
+    }
+    assert pathlib.Path(f"{study_prefix}_provenance.json").read_text() == want
 
 
 def test_simulate_reruns_are_byte_identical(study_prefix, tmp_path, capsys):
@@ -562,6 +632,21 @@ def test_report_to_stdout_and_plot_table(study_prefix, tmp_path, capsys):
 def test_report_rejects_non_summary_csv(capsys):
     assert main(["report", TOY]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("column, cell", [
+    ("missing", None), ("pe", "big"), ("pe_sd", "x"), ("r_squared", ""),
+], ids=["ragged-row", "text-pe", "text-pe-sd", "empty-r-squared"])
+def test_report_rejects_malformed_summary_row(study_prefix, tmp_path, capsys, column, cell):
+    rows = read_csv_rows(f"{study_prefix}_summary.csv")
+    k = SUMMARY_HEADER.index(column)
+    rows[2] = rows[2][:k] if cell is None else rows[2][:k] + [cell] + rows[2][k + 1:]
+    bad = tmp_path / "summary.csv"
+    with open(bad, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    assert main(["report", str(bad), "--out", str(tmp_path / "t.md")]) == 3
+    assert f"{bad}:3:" in capsys.readouterr().err
+    assert not (tmp_path / "t.md").exists()
 
 
 def test_report_missing_file(tmp_path, capsys):

@@ -1,3 +1,6 @@
+import importlib.util
+import pathlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -245,3 +248,13 @@ def test_with_structure_swaps_roles(pattern_table):
     assert swapped.structure.p == 1
     assert_array_equal(swapped.x, pattern_table.x)
     assert swapped.columns == pattern_table.columns
+
+
+def test_make_fixtures_rebuilds_the_committed_csvs(tmp_path):
+    data = pathlib.Path(__file__).parent / "data"
+    spec = importlib.util.spec_from_file_location("make_fixtures", data / "make_fixtures.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    module.main(tmp_path)
+    for name in ("toy.csv", "toy_missing.csv"):
+        assert (tmp_path / name).read_bytes() == (data / name).read_bytes()

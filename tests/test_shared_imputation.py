@@ -7,6 +7,7 @@ fit_prime on the table under that candidate's structure: the same
 coefficients, predictions, fallback counters and warnings.
 """
 
+import json
 import warnings
 
 import numpy as np
@@ -151,6 +152,35 @@ def test_candidate_diagnostics_are_not_shared():
     assert len({id(c) for c in counters}) == len(counters)
 
 
+# the nested key order of a fit file
+FIT_KEYS = [
+    "format", "version", "columns", "structure", "spline", "kernel", "normalization",
+    "intercept", "curve_coefs", "linear_coefs", "centering_means", "diagnostics",
+]
+KERNEL_KEYS = [
+    "bandwidth", "fixed_h", "projection", "n_projections", "projection_dist",
+    "projection_threshold", "seed",
+]
+DIAGNOSTICS_KEYS = [
+    "n_rows", "n_columns", "rank", "rank_deficient", "condition_estimate", "n_complete",
+    "no_donor_fallbacks", "underflow_fallbacks", "degenerate_bandwidths", "notes",
+]
+
+
+def assert_fit_file_layout(path, structure):
+    payload = json.loads(path.read_text())
+    assert list(payload) == FIT_KEYS
+    assert list(payload["structure"]) == ["nonlinear", "linear"]
+    assert list(payload["spline"]) == ["degree", "interior_knots"]
+    assert list(payload["kernel"]) == KERNEL_KEYS
+    assert list(payload["normalization"]) == list(structure.nonlinear)
+    diagnostics = payload["diagnostics"]
+    assert list(diagnostics) == DIAGNOSTICS_KEYS
+    order = structure.nonlinear + structure.linear  # nonlinear first, then linear
+    for counts in (diagnostics["no_donor_fallbacks"], diagnostics["underflow_fallbacks"]):
+        assert list(counts) == [name for name in order if name in counts]
+
+
 def test_candidate_fit_files_equal_fit_prime_byte_for_byte(tmp_path):
     # fallbacks in every incomplete column, so the order of the counters'
     # keys shows in the fit file
@@ -162,4 +192,6 @@ def test_candidate_fit_files_equal_fit_prime_byte_for_byte(tmp_path):
         assert len(fit.diagnostics.imputation.underflow_fallbacks) > 1
         save_fit(fit, got)
         save_fit(fit_prime(table.with_structure(candidate), spec, config), want)
+        assert_fit_file_layout(got, candidate)
+        assert_fit_file_layout(want, candidate)
         assert got.read_bytes() == want.read_bytes()

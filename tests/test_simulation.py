@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import quad
 from scipy.special import ndtr
 
-from primeplm.errors import InvalidConfig, MissingBaseline
+from primeplm.errors import InvalidConfig
 from primeplm.simulation import (
     MR_PARAMS_60,
     MR_PARAMS_85,
@@ -22,7 +22,6 @@ from primeplm.simulation import (
     calibration_sum_sq,
     gen_covariates,
     gen_errors,
-    pe_ratio,
     run_study,
     scenario_from_entries,
     sigma_for_r2,
@@ -292,20 +291,6 @@ def test_aggregate_failed_replication_excluded():
     assert cc.n_ok == 1 and cc.n_failed == 1
     assert cc.pe == pytest.approx(0.4)
     assert math.isnan(cc.pe_sd)
-
-
-def test_pe_ratio_rows_and_missing_baseline():
-    r1 = run_study(small_config(replications=2, r_squared=0.3), methods=("prime", "cc"))
-    r2 = run_study(small_config(replications=2, r_squared=0.7), methods=("prime", "cc"))
-    rows = pe_ratio([r2, r1])
-    assert [r[0] for r in rows] == [0.3, 0.3, 0.7, 0.7]
-    for r_squared, method, ratio in rows:
-        if method == "prime":
-            assert ratio == pytest.approx(1.0)
-
-    only_cc = run_study(small_config(replications=2), methods=("cc",))
-    with pytest.raises(MissingBaseline):
-        pe_ratio(only_cc)
 
 
 def test_scenario_config_validation():
