@@ -381,17 +381,18 @@ def cmd_report(args) -> int:
         if row["method"] not in methods:
             methods.append(row["method"])
 
+    labels = ("n", "rho", "error_mode", "missing", "mr_e", "r_squared")
+    # a setting column the labels leave out is shown when the settings differ in it
+    varying = [c for k, c in enumerate(_SETTING_COLUMNS)
+               if c not in labels and len({key[k] for key in settings}) > 1]
     lines = []
-    head = ["n", "rho", "errors", "missing", "mr(e)", "R2"] + methods
+    head = ["n", "rho", "errors", "missing", "mr(e)", "R2", *varying, *methods]
     lines.append("| " + " | ".join(head) + " |")
     lines.append("|" + "|".join("---" for _ in head) + "|")
     for key, per_method in settings.items():
         setting = dict(zip(_SETTING_COLUMNS, key))
-        cells = [
-            setting["n"], setting["rho"], setting["error_mode"],
-            setting["missing"], setting["mr_e"],
-            f"{float(setting['r_squared']):g}",
-        ]
+        cells = [setting[c] for c in labels[:-1]]
+        cells += [f"{float(setting['r_squared']):g}", *(setting[c] for c in varying)]
         pes = {
             m: float(r["pe"]) for m, r in per_method.items() if np.isfinite(float(r["pe"]))
         }

@@ -302,6 +302,9 @@ def _read_columns(fh, path, header, columns, optional, missing_token, missing_er
     or leaves a doubt it cannot settle, the file is read again with
     csv.reader to raise the first bad row or cell at its line.
     """
+    for c in columns:
+        if header.count(c) > 1:
+            raise MalformedCsv(f"{path}:1: column {c!r} is repeated in the header")
     at = [header.index(c) for c in columns]
     # the other columns are read as one-character strings: never parsed, but
     # every row still has to be as wide as the header
@@ -349,7 +352,7 @@ def load_csv(
         if response not in header:
             raise MissingResponse(f"{path}: response column {response!r} not in header")
         if structure is None:
-            covariates = tuple(h for h in header if h != response)
+            covariates = tuple(h for h in dict.fromkeys(header) if h != response)
             if not covariates:
                 raise StructureMismatch(f"{path}: no covariate columns besides the response")
             structure = ModelStructure(nonlinear=(), linear=covariates)

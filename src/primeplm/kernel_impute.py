@@ -6,11 +6,11 @@ C (or, when C is large, by projective resampling onto random directions).
 Spline-basis rows are imputed with the same weights for every basis
 component, so an imputed row still sums to one.
 
-Donors depend only on the missing pattern and the column, so the work is
-planned per pattern: ``ImputationPlan`` centres and scales a pattern's
-coordinates once, computes each missing column's log-weights, targets x
-donors, as one matrix product, and applies the normalized weights to basis
-rows and linear values alike.  Targets are taken in chunks, so one block
+Donors depend only on the missing pattern and the column, so
+``ImputationPlan.impute`` makes one pass per pattern: it scales the pattern's
+coordinates once, then for each missing column computes the log-weights,
+targets x donors, as one matrix product and applies the normalized weights
+to every array of the column.  Targets are taken in chunks, so one block
 holds at most ``_BLOCK_ELEMENTS`` (2**18, 2 MB) log-weights at any n.
 """
 
@@ -53,8 +53,8 @@ class KernelConfig:
     projection "resampled" replaces the product kernel by the geometric
     mean of n_projections univariate kernels along random directions
     whenever a unit observes more than projection_threshold covariates.
-    Fixed bandwidths must be finite and positive, and seed nonnegative;
-    anything else raises InvalidConfig.
+    Fixed bandwidths must be finite and positive, the two counts and seed
+    integers, and seed nonnegative; anything else raises InvalidConfig.
     """
 
     bandwidth: str = "silverman"
@@ -66,6 +66,9 @@ class KernelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_projections", "projection_threshold", "seed"):
+            if not isinstance(v := getattr(self, name), (int, np.integer)) or isinstance(v, bool):
+                raise InvalidConfig(f"{name} must be an integer, got {v!r}")
         if self.bandwidth not in ("silverman", "fixed"):
             raise InvalidConfig(f"unknown bandwidth rule {self.bandwidth!r}")
         if self.bandwidth == "fixed":
@@ -188,65 +191,51 @@ class _Kernel:
 
 
 class ImputationPlan:
-    """Donor weights of one table, planned per incomplete missing pattern.
-
-    ``impute`` fills the missing rows of caller-supplied arrays, basis blocks
-    and linear columns alike; ``cell_weights`` gives one cell's donors and
-    normalized weights.
-    """
+    """Donor weights of one table, planned per incomplete missing pattern;
+    ``impute``, its one entry point, fills caller-supplied arrays."""
 
     def __init__(self, table: ObservationTable, pattern: PatternIndex, config: KernelConfig):
         if config.bandwidth == "fixed" and len(config.fixed_h) != len(table.columns):
             raise InvalidConfig(
                 f"fixed_h needs {len(table.columns)} entries, got {len(config.fixed_h)}"
             )
-        self.table = table
-        self.config = config
+        self._table = table
+        self._config = config
         self.diagnostics = ImputationDiagnostics()
         # column-major copies: a pattern's rows are gathered from contiguous runs
         self._xt = np.ascontiguousarray(table.x.T)
         self._observed = np.ascontiguousarray(table.mask.T)
         self._column_h: dict[int, float] = {}
-        self._projected_h: dict[int, float] = {}  # by id of the _Pattern
-        self._patterns: dict[bytes, _Pattern] = {}
-        for key, targets in pattern.groups.items():
+        self._patterns: list[_Pattern] = []
+        for targets in pattern.groups.values():
             observed = table.mask[targets[0]]
             if not observed.all():
                 cond = np.flatnonzero(observed)
                 rows = np.flatnonzero(np.logical_and.reduce(self._observed[cond], axis=0))
-                self._patterns[key] = _Pattern(cond, np.flatnonzero(~observed), targets, rows)
+                self._patterns.append(_Pattern(cond, np.flatnonzero(~observed), targets, rows))
 
-    def _degenerate(self, label: str, what: str) -> None:
+    def _degenerate(self, label: str, what: str, depth: int) -> None:
+        """Count and warn, attributed to the caller of impute, ``depth`` frames up."""
         self.diagnostics.degenerate_bandwidths[label] += 1
         warnings.warn(
-            f"{what}, falling back to 1.06 * n**-0.2", DegenerateSampleWarning, stacklevel=6
+            f"{what}, falling back to 1.06 * n**-0.2", DegenerateSampleWarning, stacklevel=depth
         )
 
     def _bandwidth(self, pos: int) -> float:
         if pos not in self._column_h:
-            if self.config.bandwidth == "fixed":
-                self._column_h[pos] = self.config.fixed_h[pos]
+            if self._config.bandwidth == "fixed":
+                self._column_h[pos] = self._config.fixed_h[pos]
             else:
                 sd = _sample_sd(self._xt[pos, self._observed[pos]])
-                self._column_h[pos], degenerate = _silverman_core(sd, self.table.n)
+                self._column_h[pos], degenerate = _silverman_core(sd, self._table.n)
                 if degenerate:
-                    name = self.table.columns[pos]
-                    self._degenerate(name, f"zero-variance bandwidth sample for column {name!r}")
+                    name = self._table.columns[pos]
+                    what = f"zero-variance bandwidth sample for column {name!r}"
+                    self._degenerate(name, what, 5)
         return self._column_h[pos]
 
-    def _pattern_projected_h(self, pp: _Pattern, proj: np.ndarray) -> float:
-        """Silverman on the pooled projected target-row differences, n = table rows."""
-        if id(pp) not in self._projected_h:
-            sd = _projected_sd(proj, np.searchsorted(pp.rows, pp.targets))
-            h, degenerate = _silverman_core(sd, self.table.n)
-            if degenerate:
-                label = "pattern:" + ",".join(self.table.columns[c] for c in pp.cond)
-                self._degenerate(label, f"degenerate projected-difference sample for {label}")
-            self._projected_h[id(pp)] = h
-        return self._projected_h[id(pp)]
-
     def _kernel(self, pp: _Pattern) -> _Kernel:
-        config, m = self.config, len(pp.cond)
+        config, m = self._config, len(pp.cond)
         z = self._xt[np.ix_(pp.cond, pp.rows)]
         if config.projection == "resampled" and m > config.projection_threshold:
             if config.n_projections >= m:
@@ -258,12 +247,17 @@ class ImputationPlan:
             v = draw_directions(m, config.n_projections, config.projection_dist, seed)
             # summed column by column, so equal rows project to equal values
             z = (v[:, :, None] * z).sum(axis=1)
-            h = self._pattern_projected_h(pp, z)
+            # Silverman on the pooled projected target-row differences, n = table rows
+            sd = _projected_sd(z, np.searchsorted(pp.rows, pp.targets))
+            h, degenerate = _silverman_core(sd, self._table.n)
+            if degenerate:
+                label = "pattern:" + ",".join(self._table.columns[c] for c in pp.cond)
+                self._degenerate(label, f"degenerate projected-difference sample for {label}", 4)
             const = -0.5 * _LOG_2PI - math.log(h)
             # the geometric mean over the directions divides |.|^2 by their count
             scale = np.full(len(v), h * math.sqrt(len(v)))
         else:
-            scale = np.array([self._bandwidth(c) for c in pp.cond])
+            scale = np.array(list(map(self._bandwidth, pp.cond)))  # map adds no frame: depth 5
             const = -float((0.5 * _LOG_2PI + np.log(scale)).sum())
         u = (z - z.mean(axis=1, keepdims=True)) / scale[:, None]
         half_sq = 0.5 * (u * u).sum(axis=0)
@@ -272,44 +266,6 @@ class ImputationPlan:
         left = np.vstack([u, np.ones_like(half_sq)]).T.copy()
         return _Kernel(left, np.vstack([u, -half_sq]), const - half_sq, True)
 
-    def _weights(self, pp: _Pattern, targets: np.ndarray, columns):
-        """Yield (column, chunk, donors, w, kept) per column and chunk of
-        targets.  w holds exp(log-weight - row max) for the kept chunk rows,
-        unnormalized; a row whose largest log-weight is below -700 is not
-        kept, and w is None when the column has no donor."""
-        kernel = None
-        for j in columns:
-            d = np.flatnonzero(self._observed[j, pp.rows])
-            if d.size == 0:
-                yield j, targets, pp.rows[d], None, None
-                continue
-            if kernel is None:
-                kernel = self._kernel(pp)
-            side = kernel.right[:, d]
-            step = max(1, _BLOCK_ELEMENTS // d.size)
-            for start in range(0, targets.size, step):
-                chunk = targets[start : start + step]
-                t = np.searchsorted(pp.rows, chunk)
-                logw = kernel.block(t, side)
-                top = logw.max(axis=1)
-                kept = top + kernel.offset[t] >= _UNDERFLOW_LOG
-                if not kept.all():
-                    logw, top = logw[kept], top[kept]
-                logw -= top[:, None]
-                np.exp(logw, out=logw)
-                yield j, chunk, pp.rows[d], logw, kept
-
-    def cell_weights(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray | None]:
-        """Donor rows of cell (i, j) and their normalized weights; the weights
-        are None when the cell falls back to the column's observed mean."""
-        if self.table.mask[i, j]:
-            raise InvalidConfig(f"column {j} is observed for unit {i}; nothing to impute")
-        pp = self._patterns[self.table.mask[i].tobytes()]
-        _, _, donors, w, kept = next(self._weights(pp, np.array([i]), [j]))
-        if w is None or not kept[0]:
-            return donors, None
-        return donors, w[0] / w[0].sum()
-
     def impute(self, values: dict[int, tuple]) -> None:
         """Fill the missing rows of each array in ``values[j]`` in place.
 
@@ -317,30 +273,43 @@ class ImputationPlan:
         rows are set wherever column j is observed; all of them are filled
         with the same weights.  A missing row becomes the kernel-weighted
         average of its donors' rows, or the mean of the observed rows when
-        there is no donor or every weight underflows.
+        there is no donor or its largest absolute log-weight is below -700.
         """
-        mask = self.table.mask
+        mask = self._table.mask
         arrays = {j: v for j, v in values.items() if not mask[:, j].all()}
         for j in arrays:
             if not mask[:, j].any():
                 raise DegenerateColumn(
-                    f"column {self.table.columns[j]!r} is never observed; nothing to impute"
+                    f"column {self._table.columns[j]!r} is never observed; nothing to impute"
                 )
         fallback = {j: [out[mask[:, j]].mean(axis=0) for out in arrays[j]] for j in arrays}
         diag = self.diagnostics
-        for pp in self._patterns.values():
-            todo = [j for j in pp.missing if j in arrays]
-            for j, chunk, donors, w, kept in self._weights(pp, pp.targets, todo):
-                for out, mean in zip(arrays[j], fallback[j]):
-                    if w is None:
-                        out[chunk] = mean
-                        continue
-                    # one product per target row, so chunking never changes a value
+        for pp in self._patterns:
+            kernel = None  # built at the pattern's first column with a donor
+            for j in (j for j in pp.missing if j in arrays):
+                d = np.flatnonzero(self._observed[j, pp.rows])
+                if d.size == 0:
+                    for out, mean in zip(arrays[j], fallback[j]):
+                        out[pp.targets] = mean
+                    diag.no_donor_fallbacks[self._table.columns[j]] += pp.targets.size
+                    continue
+                if kernel is None:
+                    kernel = self._kernel(pp)
+                donors, side = pp.rows[d], kernel.right[:, d]
+                step = max(1, _BLOCK_ELEMENTS // d.size)
+                for start in range(0, pp.targets.size, step):
+                    chunk = pp.targets[start : start + step]
+                    t = np.searchsorted(pp.rows, chunk)
+                    w = kernel.block(t, side)
+                    top = w.max(axis=1)
+                    kept = top + kernel.offset[t] >= _UNDERFLOW_LOG
+                    if not kept.all():
+                        w, top = w[kept], top[kept]
+                        diag.underflow_fallbacks[self._table.columns[j]] += chunk.size - w.shape[0]
+                    w -= top[:, None]
+                    np.exp(w, out=w)
                     total = w.sum(axis=1)[:, None]
-                    out[chunk[kept]] = np.matmul(w[:, None, :], out[donors])[:, 0, :] / total
-                    out[chunk[~kept]] = mean
-                name = self.table.columns[j]
-                if w is None:
-                    diag.no_donor_fallbacks[name] += chunk.size
-                elif chunk.size > w.shape[0]:
-                    diag.underflow_fallbacks[name] += chunk.size - w.shape[0]
+                    for out, mean in zip(arrays[j], fallback[j]):
+                        # one product per target row, so chunking never changes a value
+                        out[chunk[kept]] = np.matmul(w[:, None, :], out[donors])[:, 0, :] / total
+                        out[chunk[~kept]] = mean

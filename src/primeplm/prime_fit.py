@@ -411,7 +411,7 @@ def _fit_from_payload(payload: dict) -> PrimeFit:
     if sorted(columns) != sorted(structure.nonlinear + structure.linear):
         raise ValueError("'columns' do not match the structure")
     spec = SplineSpec(
-        degree=int(payload["spline"]["degree"]),
+        degree=payload["spline"]["degree"],
         interior_knots=payload["spline"]["interior_knots"],
     )
     ranges = payload["normalization"]

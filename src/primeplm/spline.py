@@ -19,7 +19,7 @@ __all__ = ["SplineSpec", "make_spec", "basis_matrix"]
 
 @dataclass(frozen=True)
 class SplineSpec:
-    """Degree d >= 1 and interior knots strictly increasing inside (0, 1)."""
+    """Integer degree d >= 1 and interior knots strictly increasing inside (0, 1)."""
 
     degree: int
     interior_knots: tuple[float, ...]
@@ -28,6 +28,8 @@ class SplineSpec:
 
     def __post_init__(self):
         interior = tuple(float(v) for v in self.interior_knots)
+        if isinstance(self.degree, bool) or not isinstance(self.degree, (int, np.integer)):
+            raise InvalidDegree(f"degree must be an integer, got {self.degree!r}")
         if self.degree < 1:
             raise InvalidDegree(f"degree must be >= 1, got {self.degree}")
         if not np.all(np.diff([0.0, *interior, 1.0]) > 0.0):

@@ -1,7 +1,8 @@
 """Direct formulas the oracle tests compare primeplm against.
 
 Everything here is written from the estimator's definition, one cell or one
-unit at a time, and none of it runs in the package.
+unit at a time, and none of it runs in the package, except ``imputed_weights``,
+which reads a plan's donor weights back through ``ImputationPlan.impute``.
 
 Imputation: a missing cell (i, j) borrows from its donors, the rows that
 observe everything unit i observes plus column j.  A donor's log-weight is
@@ -24,7 +25,8 @@ from collections import Counter
 import numpy as np
 
 from primeplm import kernel_impute
-from primeplm.kernel_impute import draw_directions
+from primeplm.dataset import build_pattern_index
+from primeplm.kernel_impute import ImputationPlan, draw_directions
 from primeplm.spline import basis_matrix
 
 HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -134,6 +136,19 @@ def direct_imputation(table, config, spec):
             donor_values = x[donors, j]
             values[i, j] = w @ (basis_matrix(spec, donor_values) if nonlinear else donor_values)
     return values, no_donor, underflow, degenerate
+
+
+def imputed_weights(table, config, j):
+    """(n, n) matrix whose row i holds the normalized donor weights of cell
+    (i, j) over the table's rows, read back through ``ImputationPlan.impute``:
+    column j is imputed as n indicator columns, row r being e_r on the rows
+    observing j.  A cell that falls back reads as the observed-row mean; an
+    observed row i reads e_i."""
+    observed = np.flatnonzero(table.mask[:, j])
+    weights = np.zeros((table.n, table.n))
+    weights[observed, observed] = 1.0
+    ImputationPlan(table, build_pattern_index(table), config).impute({j: (weights,)})
+    return weights
 
 
 def delete_one_residuals(G, y, units):

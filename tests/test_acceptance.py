@@ -15,7 +15,7 @@ from scipy.special import ndtr
 
 from conftest import imputed_columns, make_blockwise_table
 from primeplm import ModelStructure, ObservationTable, build_pattern_index, make_spec
-from primeplm.kernel_impute import ImputationPlan, KernelConfig
+from primeplm.kernel_impute import KernelConfig
 from primeplm.model_averaging import (
     build_candidates,
     build_cv_matrix,
@@ -43,6 +43,7 @@ from primeplm.simulation import (
 )
 from reference_kernel import (
     delete_one_residuals,
+    imputed_weights,
     pattern_directions,
     pooled_projected_differences,
     silverman,
@@ -169,9 +170,9 @@ def test_criterion_2_nw_micro_oracles():
             )
             config = KernelConfig(projection="resampled", n_projections=2,
                                   projection_threshold=2, seed=instance)
-            plan = ImputationPlan(table, build_pattern_index(table), config)
             i = 8 + instance % 4
-            donors, got = plan.cell_weights(i, m)
+            donors = np.flatnonzero(table.mask[:, m])
+            got = imputed_weights(table, config, m)[i, donors]
             cond = np.arange(m)
             directions = pattern_directions(config, cond)
             pooled = pooled_projected_differences(table.x, table.mask, i, directions)
@@ -415,21 +416,18 @@ def test_criterion_9_property_sweeps():
             table = make_blockwise_table(n=1200, seed=seed)
             pattern = build_pattern_index(table)
             config = KernelConfig(seed=seed)
-            plan = ImputationPlan(table, pattern, config)
             values = imputed_columns(table, pattern, config, make_spec())
             nonlinear = {table.position(c) for c in table.structure.nonlinear}
+            weights = {j: imputed_weights(table, config, j) for j in table.linear_pos}
             for i in np.flatnonzero(~table.mask.all(axis=1)):
                 for j in np.flatnonzero(~table.mask[i]):
-                    donors = plan.cell_weights(i, int(j))[0]
                     if j in nonlinear:
                         row = values[j][i]
                         good = row.min() >= -1e-12 and abs(row.sum() - 1.0) <= 1e-9
                     else:
+                        # a fallback cell weighs every observed row
                         value = values[j][i, 0]
-                        pool = (
-                            table.x[donors, j] if donors.size
-                            else table.x[table.mask[:, j], j]
-                        )
+                        pool = table.x[weights[j][i] > 0, j]
                         good = pool.min() - 1e-9 <= value <= pool.max() + 1e-9
                     hull_cells += 1
                     hull_viol += not good

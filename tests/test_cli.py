@@ -8,8 +8,11 @@ from numpy.testing import assert_allclose
 
 from primeplm import cli, errors
 from primeplm.cli import REPLICATION_HEADER, SUMMARY_HEADER, main
-from primeplm.dataset import load_csv, load_structure
+from primeplm.dataset import load_csv, load_rows, load_structure
+from primeplm.kernel_impute import KernelConfig
+from primeplm.model_averaging import fit_prime_ma
 from primeplm.prime_fit import fit_prime, load_fit, predict
+from primeplm.spline import make_spec
 
 DATA = pathlib.Path(__file__).parent / "data"
 TOY = str(DATA / "toy.csv")
@@ -222,6 +225,14 @@ def test_fit_reports_fallbacks_on_incomplete_data(tmp_path, capsys):
     run_fit(tmp_path, TOY_MISSING)
     out = capsys.readouterr().out
     assert "fitted 80 rows (50 complete)" in out
+    assert "fallback imputations" not in out
+    # bandwidths this small underflow every donor weight
+    fit_path = run_fit(tmp_path, TOY_MISSING, "--bandwidth", "fixed:1e-3,1e-3,1e-3")
+    imp = load_fit(fit_path).diagnostics.imputation
+    assert imp.total_fallbacks > 0 and not imp.no_donor_fallbacks
+    out = capsys.readouterr().out
+    assert f"fallback imputations: {imp.total_fallbacks} (no donors: {{}}, underflow: {{" in out
+    assert all(f"{name!r}: {count}" in out for name, count in imp.underflow_fallbacks.items())
 
 
 def test_fit_quantile_knots(tmp_path, capsys):
@@ -330,6 +341,14 @@ KERNEL = {
     {"kernel": {**KERNEL, "bandwidth": "fixed", "fixed_h": [float("nan"), 1.0, 1.0]}},
     {"kernel": {**KERNEL, "bandwidth": "fixed", "fixed_h": [0.5, float("inf"), 1.0]}},
     {"kernel": {**KERNEL, "seed": -1}},
+    # integer fields must be JSON integers
+    {"spline": {"degree": 3.7, "interior_knots": [0.3, 0.7]}},
+    {"spline": {"degree": 3.0, "interior_knots": [0.3, 0.7]}},
+    {"spline": {"degree": "3", "interior_knots": [0.3, 0.7]}},
+    {"kernel": {**KERNEL, "seed": 1.5}},
+    {"kernel": {**KERNEL, "seed": True}},
+    {"kernel": {**KERNEL, "projection_threshold": 2.5}},
+    {"kernel": {**KERNEL, "n_projections": "two"}},
     # a kernel block must hold every KernelConfig field and nothing else
     {"kernel": {k: v for k, v in KERNEL.items() if k != "seed"}},
     {"kernel": {**KERNEL, "bandwith": "silverman"}},
@@ -343,6 +362,8 @@ KERNEL = {
     "no-range", "range-for-linear-column",
     "reversed-knots", "knot-above-one", "knot-on-boundary",
     "nan-bandwidth", "infinite-bandwidth", "negative-seed",
+    "fractional-degree", "float-degree", "string-degree", "fractional-seed", "bool-seed",
+    "fractional-threshold", "string-projection-count",
     "kernel-key-missing", "kernel-key-extra",
     "nan-intercept", "infinite-curve-coef", "infinite-linear-coef", "nan-centering-mean",
 ])
@@ -404,6 +425,37 @@ def test_average_report_and_predictions(tmp_path, capsys):
     assert np.corrcoef(preds, rows[:, 0])[0, 1] > 0.9
     meta = json.loads((preds_path.with_suffix(".csv.meta.json")).read_text())
     assert meta["rows"] == 80
+
+
+def test_average_predicts_given_rows(tmp_path, capsys):
+    preds_path = tmp_path / "p.csv"
+    rc = main(["average", "--data", TOY_MISSING, "--out", str(tmp_path / "avg.json"),
+               "--predictions-out", str(preds_path), "--predict-data", TOY, "--seed", "3"])
+    assert rc == 0
+    assert "80 averaged predictions" in capsys.readouterr().out
+    table = load_csv(TOY_MISSING, None)
+    avg = fit_prime_ma(table, make_spec(), KernelConfig(seed=3))
+    assert np.array_equal(read_predictions(preds_path),
+                          avg.predict(load_rows(TOY, table.columns)))
+
+
+def test_average_without_complete_rows_needs_predict_data(tmp_path, capsys):
+    rng = np.random.default_rng(4)
+    x = rng.uniform(size=(30, 4))
+    data = tmp_path / "holes.csv"
+    with open(data, "w") as fh:
+        fh.write("y,a,b,c\n")
+        for i, row in enumerate(x.tolist()):
+            row[1 + i % 3] = "NA"  # every row misses one covariate
+            fh.write(",".join(map(str, row)) + "\n")
+    report = tmp_path / "avg.json"
+    rc = main(["average", "--data", str(data), "--out", str(report),
+               "--predictions-out", str(tmp_path / "p.csv"), "--seed", "1"])
+    assert rc == 4
+    captured = capsys.readouterr()
+    assert "uniform fallback" in captured.out
+    assert captured.err == "error: no complete rows to predict; give --predict-data\n"
+    assert not (tmp_path / "p.csv").exists()
 
 
 def test_average_reruns_are_byte_identical(tmp_path, capsys):
@@ -587,11 +639,16 @@ def test_simulate_nonfinite_mr_params(tmp_path, capsys):
     assert not list(tmp_path.glob("x*"))
 
 
-def test_simulate_unknown_method(tmp_path, capsys):
-    rc = main(["simulate", "--scenario", SCENARIO, "--methods", "prime,mystery",
-               "--out-prefix", str(tmp_path / "x")])
+@pytest.mark.parametrize("flags, message", [
+    (["--methods", "prime,mystery"], "mystery"),
+    (["--methods", ","], "no methods requested"),
+    (["--workers", "0"], "workers must be >= 1"),
+], ids=["unknown-method", "no-method", "no-worker"])
+def test_simulate_usage_errors(tmp_path, capsys, flags, message):
+    rc = main(["simulate", "--scenario", SCENARIO, *flags, "--out-prefix", str(tmp_path / "x")])
     assert rc == 2
-    capsys.readouterr()
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_report_markdown_bolds_best_method(study_prefix, tmp_path, capsys):
@@ -627,6 +684,49 @@ def test_report_to_stdout_and_plot_table(study_prefix, tmp_path, capsys):
     assert rows[0] == ["method", "r_squared", "pe_ratio"]
     assert [r[0] for r in rows[1:]] == ["prime", "cc"]
     assert float(rows[1][2]) == pytest.approx(1.0)
+
+
+def write_summary(path, rows, **cells):
+    """The summary ``rows`` with the given setting cells replaced in every row."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(rows[0])
+        for row in rows[1:]:
+            writer.writerow([cells.get(h, c) for h, c in zip(SUMMARY_HEADER, row)])
+    return str(path)
+
+
+def report_lines(capsys, *paths):
+    assert main(["report", *paths]) == 0
+    return capsys.readouterr().out.splitlines()
+
+
+def test_report_labels_settings_that_differ(study_prefix, tmp_path, capsys):
+    summary = f"{study_prefix}_summary.csv"
+    rows = read_csv_rows(summary)
+    first = report_lines(capsys, summary)
+    # settings that differ only in the six label columns keep the six labels
+    bigger = write_summary(tmp_path / "n.csv", rows, n="80")
+    lines = report_lines(capsys, summary, bigger)
+    assert lines[:3] == first
+    assert lines[3].startswith("| 80 | 0.3 | homoscedastic | scenario1 | 0.3 | 0.7 | ")
+    # mr_params 0.1,0.3,0.1,-0.5,0.3 and another seed share every label with
+    # the scenario's preset, so the columns that differ are shown
+    other = write_summary(tmp_path / "mr.csv", rows, mr_b="0.3", mr_d="-0.5", seed="8")
+    lines = report_lines(capsys, summary, other)
+    labels = "| n | rho | errors | missing | mr(e) | R2 |"
+    assert lines[0] == labels + " mr_b | mr_d | seed | prime | cc |"
+    same = "| 60 | 0.3 | homoscedastic | scenario1 | 0.3 | 0.7 |"
+    assert lines[2].startswith(same + " 0.5 | -1.1 | 7 | ")
+    assert lines[3].startswith(same + " 0.3 | -0.5 | 8 | ")
+
+
+def test_report_marks_absent_method(study_prefix, tmp_path, capsys):
+    rows = read_csv_rows(f"{study_prefix}_summary.csv")
+    prime_only = write_summary(tmp_path / "prime.csv", rows[:2], n="80")
+    lines = report_lines(capsys, f"{study_prefix}_summary.csv", prime_only)
+    assert lines[0].endswith("| prime | cc |")
+    assert lines[3].startswith("| 80 | ") and lines[3].endswith("** | - |")
 
 
 def test_report_rejects_non_summary_csv(capsys):

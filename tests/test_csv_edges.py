@@ -16,6 +16,7 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from primeplm import ModelStructure, load_csv, load_fit, predict
+from primeplm.dataset import load_rows
 from primeplm.cli import main
 from primeplm.errors import MalformedCsv, MissingResponse
 
@@ -151,6 +152,25 @@ def test_extra_columns_are_ignored(tmp_path):
     table = load_csv(path, STRUCTURE)
     assert_array_equal(table.y, [1.5, 0.5])
     assert_array_equal(table.x, [[0.25, 2.0, -1.0], [0.75, 1.0, 3.0]])
+
+
+def test_repeated_read_column_is_rejected(tmp_path, capsys, fit_file):
+    path = write(tmp_path, ["y,u1,u1,w1,w2", "1.5,0.25,0.9,2.0,-1.0", "0.5,0.75,0.1,1.0,3.0"])
+    text = f"{path}:1: column 'u1' is repeated in the header"
+    for read in (lambda: load_csv(path, STRUCTURE), lambda: load_csv(path, None),
+                 lambda: load_rows(path, ("u1", "w1", "w2"))):
+        with pytest.raises(MalformedCsv) as err:
+            read()
+        assert str(err.value) == text
+    assert run_fit(path, capsys) == (3, f"error: {text}\n")
+    assert run_predict(fit_file, path, capsys)[:2] == (3, f"error: {text}\n")
+    rc = main(["average", "--data", path, "--out", path + ".avg.json", "--seed", "1"])
+    assert (rc, capsys.readouterr().err) == (3, f"error: {text}\n")
+    # columns that are not read may repeat, as they may hold anything
+    path = write(tmp_path, ["y,u1,note,w1,w2,note", "1.5,0.25,a,2.0,-1.0,b",
+                            "0.5,0.75,c,1.0,3.0,d"], name="notes.csv")
+    assert_array_equal(load_csv(path, STRUCTURE).x, [[0.25, 2.0, -1.0], [0.75, 1.0, 3.0]])
+    assert_array_equal(load_rows(path, ("w2", "u1")), [[-1.0, 0.25], [3.0, 0.75]])
 
 
 # -- predict -----------------------------------------------------------------------

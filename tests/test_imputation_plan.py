@@ -19,6 +19,7 @@ from primeplm.kernel_impute import ImputationPlan, KernelConfig, _projected_sd
 from primeplm.prime_fit import assemble_design
 from reference_kernel import (
     direct_imputation,
+    imputed_weights,
     pattern_directions,
     pooled_projected_differences,
     silverman,
@@ -146,26 +147,24 @@ def test_underflow_rule_uses_absolute_log_weights():
     )
     plan = ImputationPlan(table, build_pattern_index(table),
                           KernelConfig(bandwidth="fixed", fixed_h=(0.02, 1.0)))
-    assert plan._kernel(plan._patterns[table.mask[0].tobytes()]).product
+    assert plan._kernel(plan._patterns[0]).product
     values = {1: (np.array(x[:, 1:]),)}
     plan.impute(values)
     assert values[1][0][0, 0] == pytest.approx(7.0)
     assert plan.diagnostics.underflow_fallbacks == Counter({"b": 1})
 
 
-def test_cell_weights_match_direct_formula():
+def test_imputed_weights_match_direct_formula():
     rng = np.random.default_rng(8)
     table = make_random_table(rng, n=60, p=2, q=3, missing_rate=0.3)
-    pattern = build_pattern_index(table)
     config = KernelConfig(projection="resampled", n_projections=2, projection_threshold=2)
-    plan = ImputationPlan(table, pattern, config)
     want, *_ = direct_imputation(table, config, SPEC)
+    weights = {j: imputed_weights(table, config, j) for j in table.linear_pos}
     checked = 0
     for (i, j), value in want.items():
         if table.columns[j] in table.structure.nonlinear:
             continue
-        donors, w = plan.cell_weights(i, j)
-        got = table.x[table.mask[:, j], j].mean() if w is None else w @ table.x[donors, j]
+        got = weights[j][i] @ np.where(table.mask[:, j], table.x[:, j], 0.0)
         assert got == pytest.approx(value, abs=1e-12)
         checked += 1
     assert checked > 30
@@ -200,14 +199,17 @@ def test_projected_bandwidth_matches_pooled_two_pass():
                           seed=4)
     plan = ImputationPlan(table, pattern, config)
     checked = 0
-    for pp in plan._patterns.values():
+    for pp in plan._patterns:
         if pp.cond.size <= 2:
             continue
         directions = pattern_directions(config, pp.cond)
         proj = (directions[:, :, None] * table.x[np.ix_(pp.rows, pp.cond)].T).sum(axis=1)
         pooled = pooled_projected_differences(table.x, table.mask, pp.targets[0], directions)
         want = silverman(pooled, table.n)[0]
-        assert plan._pattern_projected_h(pp, proj) == pytest.approx(want, rel=1e-12)
+        # the kernel's coordinates are the projections over h * sqrt(directions)
+        u = plan._kernel(pp).right[: len(directions)]
+        got = np.ptp(proj, axis=1) / np.ptp(u, axis=1) / np.sqrt(len(directions))
+        assert_allclose(got, want, rtol=1e-12)
         checked += 1
     assert checked >= 5
 
@@ -231,16 +233,13 @@ def test_degenerate_projected_bandwidth_falls_back_with_pattern_label():
     values = {3: (np.array(table.x[:, 3:4]),)}
     with pytest.warns(DegenerateSampleWarning, match="pattern:a,b,c"):
         plan.impute(values)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # the plan keeps the bandwidth: no second warning
-        donors, w = plan.cell_weights(2, 3)
     assert plan.diagnostics.degenerate_bandwidths == Counter({"pattern:a,b,c": 1})
-    pp = plan._patterns[table.mask[2].tobytes()]
-    assert plan._projected_h[id(pp)] == pytest.approx(1.06 * 4 ** -0.2)
     pooled = pooled_projected_differences(x, table.mask, 2, np.ones((2, 3)))
     assert pooled.size == 12 and pooled.std() == 0.0
     # every donor sits at the target, so weights are uniform
-    assert_allclose(w, [0.5, 0.5])
+    with pytest.warns(DegenerateSampleWarning, match="pattern:a,b,c"):
+        w = imputed_weights(table, config, 3)
+    assert_allclose(w[2:], [[0.5, 0.5, 0.0, 0.0]] * 2)
     assert_allclose(values[3][0][2:, 0], [1.5, 1.5])
 
 

@@ -11,7 +11,12 @@ from primeplm import ModelStructure, ObservationTable, build_pattern_index, make
 from primeplm.errors import DegenerateSampleWarning, InvalidConfig
 from primeplm.kernel_impute import ImputationPlan, KernelConfig, draw_directions
 from primeplm.spline import basis_matrix
-from reference_kernel import product_kernel_weight, projected_kernel_weight, silverman
+from reference_kernel import (
+    imputed_weights,
+    product_kernel_weight,
+    projected_kernel_weight,
+    silverman,
+)
 
 
 def two_column_table(a, b):
@@ -143,10 +148,9 @@ def test_draw_directions_moments():
 
 def test_donor_sets_on_pattern_fixture():
     table = make_pattern_table()
-    plan = ImputationPlan(table, build_pattern_index(table), KernelConfig())
 
     def donors(i, j):
-        return plan.cell_weights(i, j)[0]
+        return np.flatnonzero(imputed_weights(table, KernelConfig(), j)[i])
 
     # row 2 misses column 2 and conditions on {0, 1, 3, 4}; only the two
     # complete rows observe that superset
@@ -160,13 +164,6 @@ def test_donor_sets_on_pattern_fixture():
     for donor in donors(8, 1):
         assert table.mask[donor, 1]
         assert table.mask[donor, [0, 3, 5, 6, 7]].all()
-
-
-def test_donor_set_rejects_observed_cell():
-    table = make_pattern_table()
-    plan = ImputationPlan(table, build_pattern_index(table), KernelConfig())
-    with pytest.raises(InvalidConfig):
-        plan.cell_weights(0, 2)
 
 
 def test_nw_linear_micro_oracle():
@@ -254,16 +251,13 @@ def test_convex_hull_property_bulk():
         table = make_random_table(rng, n=50, p=2, q=3, missing_rate=0.2)
         pattern = build_pattern_index(table)
         config = KernelConfig(seed=7)
-        plan = ImputationPlan(table, pattern, config)
         values = imputed_columns(table, pattern, config)
+        weights = {j: imputed_weights(table, config, j) for j in table.linear_pos}
         for i, j in missing_cells(table, table.linear_pos):
-            donors = table.x[plan.cell_weights(i, j)[0], j]
+            # a fallback cell weighs every observed row
+            pool = table.x[weights[j][i] > 0, j]
             value = values[j][i, 0]
-            if donors.size:
-                assert donors.min() - 1e-12 <= value <= donors.max() + 1e-12
-            else:
-                obs = table.x[table.mask[:, j], j]
-                assert obs.min() - 1e-12 <= value <= obs.max() + 1e-12
+            assert pool.min() - 1e-12 <= value <= pool.max() + 1e-12
             checked += 1
     assert checked > 300
 
@@ -349,6 +343,12 @@ def test_kernel_config_validation():
             KernelConfig(projection=projection, seed=-1)
     with pytest.raises(InvalidConfig):
         KernelConfig(projection="resampled", n_projections=0)
+    # counts and seed are integers, numpy's included, but not bools
+    KernelConfig(n_projections=np.int32(2), projection_threshold=np.int64(3), seed=np.uint8(4))
+    for field, value in (("seed", 1.5), ("seed", True), ("projection_threshold", 2.0),
+                         ("n_projections", "two")):
+        with pytest.raises(InvalidConfig, match=f"{field} must be an integer"):
+            KernelConfig(**{field: value})
     with pytest.raises(InvalidConfig):
         KernelConfig(projection="resampled", projection_dist="bimodal")
     with pytest.raises(InvalidConfig):

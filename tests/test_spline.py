@@ -61,6 +61,10 @@ def test_make_spec_invalid():
         make_spec(3, -1)
     with pytest.raises(InvalidDegree):
         make_spec(3, 0, placement="magic")
+    assert SplineSpec(np.int64(2), ()).basis_size == 3
+    for degree in (2.5, 3.0, "3", True):
+        with pytest.raises(InvalidDegree, match="integer"):
+            SplineSpec(degree, ())
 
 
 def test_bernstein_values_at_half():
