@@ -639,11 +639,18 @@ def test_simulate_nonfinite_mr_params(tmp_path, capsys):
     assert not list(tmp_path.glob("x*"))
 
 
+def test_simulate_unknown_method(tmp_path, capsys):
+    rc = main(["simulate", "--scenario", SCENARIO, "--methods", "prime,mystery",
+               "--out-prefix", str(tmp_path / "x")])
+    assert rc == 2
+    assert "mystery" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("flags, message", [
-    (["--methods", "prime,mystery"], "mystery"),
     (["--methods", ","], "no methods requested"),
     (["--workers", "0"], "workers must be >= 1"),
-], ids=["unknown-method", "no-method", "no-worker"])
+], ids=["no-method", "no-worker"])
 def test_simulate_usage_errors(tmp_path, capsys, flags, message):
     rc = main(["simulate", "--scenario", SCENARIO, *flags, "--out-prefix", str(tmp_path / "x")])
     assert rc == 2

@@ -154,7 +154,7 @@ def test_underflow_rule_uses_absolute_log_weights():
     assert plan.diagnostics.underflow_fallbacks == Counter({"b": 1})
 
 
-def test_imputed_weights_match_direct_formula():
+def test_cell_weights_match_direct_formula():
     rng = np.random.default_rng(8)
     table = make_random_table(rng, n=60, p=2, q=3, missing_rate=0.3)
     config = KernelConfig(projection="resampled", n_projections=2, projection_threshold=2)
