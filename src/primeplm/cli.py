@@ -31,7 +31,7 @@ from .errors import (
 )
 from .kernel_impute import KernelConfig
 from .model_averaging import fit_prime_ma
-from .prime_fit import fit_prime, load_fit, predict, save_fit
+from .prime_fit import _diagnostics_payload, fit_prime, load_fit, predict, save_fit
 from .simulation import (
     _SETTINGS,
     TRUE_BETA,
@@ -182,11 +182,11 @@ def cmd_fit(args) -> int:
     print(f"intercept  {fit.intercept: .6g}")
     for name, value in zip(fit.structure.linear, fit.linear_coefs):
         print(f"{name:<10} {value: .6g}")
-    imp = diag.imputation
-    if imp.total_fallbacks:
-        print(f"fallback imputations: {imp.total_fallbacks} "
-              f"(no donors: {dict(imp.no_donor_fallbacks)}, "
-              f"underflow: {dict(imp.underflow_fallbacks)})")
+    if diag.imputation.total_fallbacks:
+        counts = _diagnostics_payload(diag, fit.structure)  # the fit file's column order
+        print(f"fallback imputations: {diag.imputation.total_fallbacks} "
+              f"(no donors: {counts['no_donor_fallbacks']}, "
+              f"underflow: {counts['underflow_fallbacks']})")
     for note in diag.notes:
         print(f"note: {note}")
     print(f"fit written to {args.fit_out}")
@@ -218,6 +218,24 @@ def cmd_average(args) -> int:
     spec = make_spec(args.degree, args.knots, "uniform")
     config = _kernel_config(args, seed)
     avg = fit_prime_ma(table, spec, config)
+    print(f"candidate weights (complete cases: {avg.n_complete}"
+          + (", uniform fallback" if avg.uniform_fallback else "") + ")")
+    for name, w in zip(avg.candidates, avg.weights):
+        print(f"{name:<10} {w:.4f}")
+    for note in avg.notes:
+        print(f"note: {note}")
+
+    preds = None  # computed before any file is written, so a failure leaves none
+    if args.predictions_out:
+        if args.predict_data:
+            rows = load_rows(args.predict_data, table.columns, args.missing_token)
+        else:
+            rows = table.x[table.mask.all(axis=1)]
+            if rows.size == 0:
+                raise InsufficientCompleteCases(
+                    "no complete rows to predict; give --predict-data"
+                )
+        preds = avg.predict(rows)
 
     payload = {
         "format": "primeplm.average",
@@ -240,25 +258,7 @@ def cmd_average(args) -> int:
         "notes": list(avg.notes),
     }
     _write_json(args.out, payload)
-
-    print(f"candidate weights (complete cases: {avg.n_complete}"
-          + (", uniform fallback" if avg.uniform_fallback else "") + ")")
-    for name, w in zip(avg.candidates, avg.weights):
-        print(f"{name:<10} {w:.4f}")
-    for note in avg.notes:
-        print(f"note: {note}")
-
-    if args.predictions_out:
-        if args.predict_data:
-            rows = load_rows(args.predict_data, table.columns, args.missing_token)
-        else:
-            complete = table.mask.all(axis=1)
-            rows = table.x[complete]
-            if rows.size == 0:
-                raise InsufficientCompleteCases(
-                    "no complete rows to predict; give --predict-data"
-                )
-        preds = avg.predict(rows)
+    if preds is not None:
         _write_predictions(args.predictions_out, preds, {"average_report": str(args.out)})
         print(f"{preds.size} averaged predictions written to {args.predictions_out}")
     print(f"report written to {args.out}")

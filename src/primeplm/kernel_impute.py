@@ -9,9 +9,10 @@ component, so an imputed row still sums to one.
 Donors depend only on the missing pattern and the column, so
 ``ImputationPlan.impute`` makes one pass per pattern: it scales the pattern's
 coordinates once, then for each missing column computes the log-weights,
-targets x donors, as one matrix product and applies the normalized weights
-to every array of the column.  Targets are taken in chunks, so one block
-holds at most ``_BLOCK_ELEMENTS`` (2**18, 2 MB) log-weights at any n.
+targets x donors, from one block of squared distances and applies the
+normalized weights to every array of the column.  Targets are taken in
+chunks, so one block holds at most ``_BLOCK_ELEMENTS`` (2**18, 2 MB)
+log-weights at any n.
 """
 
 from __future__ import annotations
@@ -37,10 +38,6 @@ _LOG_2PI = math.log(2.0 * math.pi)
 _UNDERFLOW_LOG = -700.0
 _DIRECTION_TAG = 0x5EEDD12C  # domain separator for per-pattern direction seeds
 _BLOCK_ELEMENTS = 1 << 18  # log-weights (targets x donor rows) held by one block
-# Above this squared coordinate norm the product form u_t.u_d - |u_t|^2/2 -
-# |u_d|^2/2 would lose more than ~1e-11 to cancellation (tiny fixed
-# bandwidths); such patterns sum squared differences column by column.
-_MAX_PRODUCT_SQNORM = float(1 << 16)
 
 
 @dataclass(frozen=True)
@@ -104,12 +101,6 @@ class ImputationDiagnostics:
         return sum(self.no_donor_fallbacks.values()) + sum(self.underflow_fallbacks.values())
 
 
-def _silverman_core(sd: float, n: int) -> tuple[float, bool]:
-    if not np.isfinite(sd) or sd <= 0.0:
-        return 1.06 * n ** (-0.2), True
-    return 1.06 * float(sd) * n ** (-0.2), False
-
-
 def _sample_sd(values: np.ndarray) -> float:
     values = np.asarray(values, dtype=float)
     return float(values.std(ddof=1)) if values.size >= 2 else 0.0
@@ -161,35 +152,6 @@ class _Pattern:
     rows: np.ndarray  # rows observing every column of cond, targets included
 
 
-@dataclass(frozen=True)
-class _Kernel:
-    """Log-weights of one pattern, const - |u_t - u_d|^2 / 2 for target t and
-    donor d, u being the centred, bandwidth-scaled coordinates of its rows.
-
-    While every |u|^2 stays within _MAX_PRODUCT_SQNORM this is one product
-    [u_t, 1].[u_d, -|u_d|^2 / 2] plus the offset const - |u_t|^2 / 2;
-    otherwise squared differences are summed and the offset is const.
-    """
-
-    left: np.ndarray  # (rows, coordinates): target side
-    right: np.ndarray  # (coordinates, rows): donor side
-    offset: np.ndarray  # per row
-    product: bool
-
-    def block(self, t: np.ndarray, side: np.ndarray) -> np.ndarray:
-        """Log-weights minus offsets of targets t against the donor columns
-        ``side`` of ``right``.  Each target row is its own product, so
-        chunking never changes a value."""
-        ut = self.left[t]
-        if self.product:
-            return np.matmul(ut[:, None, :], side)[:, 0, :]
-        block = np.zeros((t.size, side.shape[1]))
-        for c in range(len(side)):
-            d = ut[:, c, None] - side[c]
-            block -= 0.5 * d * d
-        return block
-
-
 class ImputationPlan:
     """Donor weights of one table, planned per incomplete missing pattern;
     ``impute``, its one entry point, fills caller-supplied arrays."""
@@ -205,7 +167,6 @@ class ImputationPlan:
         # column-major copies: a pattern's rows are gathered from contiguous runs
         self._xt = np.ascontiguousarray(table.x.T)
         self._observed = np.ascontiguousarray(table.mask.T)
-        self._column_h: dict[int, float] = {}
         self._patterns: list[_Pattern] = []
         for targets in pattern.groups.values():
             observed = table.mask[targets[0]]
@@ -214,27 +175,23 @@ class ImputationPlan:
                 rows = np.flatnonzero(np.logical_and.reduce(self._observed[cond], axis=0))
                 self._patterns.append(_Pattern(cond, np.flatnonzero(~observed), targets, rows))
 
-    def _degenerate(self, label: str, what: str, depth: int) -> None:
-        """Count and warn, attributed to the caller of impute, ``depth`` frames up."""
-        self.diagnostics.degenerate_bandwidths[label] += 1
-        warnings.warn(
-            f"{what}, falling back to 1.06 * n**-0.2", DegenerateSampleWarning, stacklevel=depth
-        )
+    def _silverman(self, sd: float, label: str, what: str) -> float:
+        """1.06 * sd * n**-0.2 over the table's n rows; a degenerate sd is
+        counted under ``label``, warned about as ``what`` and taken as 1.
+        Called from _kernel only, so the warning points at impute's caller."""
+        if not math.isfinite(sd) or sd <= 0.0:
+            self.diagnostics.degenerate_bandwidths[label] += 1
+            warnings.warn(
+                f"{what}, falling back to 1.06 * n**-0.2", DegenerateSampleWarning, stacklevel=4
+            )
+            sd = 1.0
+        return 1.06 * sd * self._table.n ** (-0.2)
 
-    def _bandwidth(self, pos: int) -> float:
-        if pos not in self._column_h:
-            if self._config.bandwidth == "fixed":
-                self._column_h[pos] = self._config.fixed_h[pos]
-            else:
-                sd = _sample_sd(self._xt[pos, self._observed[pos]])
-                self._column_h[pos], degenerate = _silverman_core(sd, self._table.n)
-                if degenerate:
-                    name = self._table.columns[pos]
-                    what = f"zero-variance bandwidth sample for column {name!r}"
-                    self._degenerate(name, what, 5)
-        return self._column_h[pos]
-
-    def _kernel(self, pp: _Pattern) -> _Kernel:
+    def _kernel(self, pp: _Pattern, column_h: dict[int, float]) -> tuple[np.ndarray, float]:
+        """(u, const): the pattern's rows as C-contiguous (rows, coordinates),
+        centred and divided by the bandwidths times sqrt(2), so that the
+        log-weight of target t at donor d is const - |u_t - u_d|^2.  Column
+        bandwidths missing from ``column_h`` are added to it."""
         config, m = self._config, len(pp.cond)
         z = self._xt[np.ix_(pp.cond, pp.rows)]
         if config.projection == "resampled" and m > config.projection_threshold:
@@ -248,33 +205,46 @@ class ImputationPlan:
             # summed column by column, so equal rows project to equal values
             z = (v[:, :, None] * z).sum(axis=1)
             # Silverman on the pooled projected target-row differences, n = table rows
+            label = "pattern:" + ",".join(self._table.columns[c] for c in pp.cond)
             sd = _projected_sd(z, np.searchsorted(pp.rows, pp.targets))
-            h, degenerate = _silverman_core(sd, self._table.n)
-            if degenerate:
-                label = "pattern:" + ",".join(self._table.columns[c] for c in pp.cond)
-                self._degenerate(label, f"degenerate projected-difference sample for {label}", 4)
+            h = self._silverman(sd, label, f"degenerate projected-difference sample for {label}")
             const = -0.5 * _LOG_2PI - math.log(h)
             # the geometric mean over the directions divides |.|^2 by their count
             scale = np.full(len(v), h * math.sqrt(len(v)))
         else:
-            scale = np.array(list(map(self._bandwidth, pp.cond)))  # map adds no frame: depth 5
+            for c in (c for c in pp.cond.tolist() if c not in column_h):
+                if config.bandwidth == "fixed":
+                    column_h[c] = config.fixed_h[c]
+                else:
+                    name = self._table.columns[c]
+                    sd = _sample_sd(self._xt[c, self._observed[c]])
+                    what = f"zero-variance bandwidth sample for column {name!r}"
+                    column_h[c] = self._silverman(sd, name, what)
+            scale = np.array([column_h[c] for c in pp.cond.tolist()])
             const = -float((0.5 * _LOG_2PI + np.log(scale)).sum())
-        u = (z - z.mean(axis=1, keepdims=True)) / scale[:, None]
-        half_sq = 0.5 * (u * u).sum(axis=0)
-        if half_sq.size and float(half_sq.max()) > 0.5 * _MAX_PRODUCT_SQNORM:
-            return _Kernel(u.T.copy(), u, np.full(half_sq.size, const), False)
-        left = np.vstack([u, np.ones_like(half_sq)]).T.copy()
-        return _Kernel(left, np.vstack([u, -half_sq]), const - half_sq, True)
+        u = (z - z.mean(axis=1, keepdims=True)) / (scale[:, None] * math.sqrt(2.0))
+        return np.ascontiguousarray(u.T), const
 
     def impute(self, values: dict[int, tuple]) -> None:
         """Fill the missing rows of each array in ``values[j]`` in place.
 
         ``values`` maps a column position to a tuple of (n, d) arrays whose
         rows are set wherever column j is observed; all of them are filled
-        with the same weights.  A missing row becomes the kernel-weighted
-        average of its donors' rows, or the mean of the observed rows when
-        there is no donor or its largest absolute log-weight is below -700.
+        with the same weights.  For each pattern and missing column, the
+        log-weights of a chunk of targets against the column's donors come
+        from one block of squared distances between their kernel
+        coordinates.  A missing row becomes the kernel-weighted average of
+        its donors' rows, or the mean of the observed rows when there is no
+        donor or its largest absolute log-weight is below -700.  Bandwidths
+        are computed once per call, so each degenerate one warns and is
+        counted once per call.
         """
+        if not self._patterns:
+            return  # every row complete: nothing to impute
+        # imported here: scipy.spatial takes ~0.2 s and ~5 MB to load, which
+        # predict and complete tables need not pay
+        from scipy.spatial.distance import cdist
+
         mask = self._table.mask
         arrays = {j: v for j, v in values.items() if not mask[:, j].all()}
         for j in arrays:
@@ -283,9 +253,9 @@ class ImputationPlan:
                     f"column {self._table.columns[j]!r} is never observed; nothing to impute"
                 )
         fallback = {j: [out[mask[:, j]].mean(axis=0) for out in arrays[j]] for j in arrays}
-        diag = self.diagnostics
+        diag, column_h = self.diagnostics, {}
         for pp in self._patterns:
-            kernel = None  # built at the pattern's first column with a donor
+            u = None  # built at the pattern's first column with a donor
             for j in (j for j in pp.missing if j in arrays):
                 d = np.flatnonzero(self._observed[j, pp.rows])
                 if d.size == 0:
@@ -293,20 +263,20 @@ class ImputationPlan:
                         out[pp.targets] = mean
                     diag.no_donor_fallbacks[self._table.columns[j]] += pp.targets.size
                     continue
-                if kernel is None:
-                    kernel = self._kernel(pp)
-                donors, side = pp.rows[d], kernel.right[:, d]
+                if u is None:
+                    u, const = self._kernel(pp, column_h)
+                donors, ud = pp.rows[d], u[d]
                 step = max(1, _BLOCK_ELEMENTS // d.size)
                 for start in range(0, pp.targets.size, step):
                     chunk = pp.targets[start : start + step]
-                    t = np.searchsorted(pp.rows, chunk)
-                    w = kernel.block(t, side)
-                    top = w.max(axis=1)
-                    kept = top + kernel.offset[t] >= _UNDERFLOW_LOG
+                    # each pair is its own sum, so chunking never changes a value
+                    w = cdist(u[np.searchsorted(pp.rows, chunk)], ud, "sqeuclidean")
+                    low = w.min(axis=1)
+                    kept = const - low >= _UNDERFLOW_LOG
                     if not kept.all():
-                        w, top = w[kept], top[kept]
+                        w, low = w[kept], low[kept]
                         diag.underflow_fallbacks[self._table.columns[j]] += chunk.size - w.shape[0]
-                    w -= top[:, None]
+                    np.subtract(low[:, None], w, out=w)
                     np.exp(w, out=w)
                     total = w.sum(axis=1)[:, None]
                     for out, mean in zip(arrays[j], fallback[j]):

@@ -235,6 +235,14 @@ def test_fit_reports_fallbacks_on_incomplete_data(tmp_path, capsys):
     assert all(f"{name!r}: {count}" in out for name, count in imp.underflow_fallbacks.items())
 
 
+def test_fit_fallback_line_lists_columns_in_fit_file_order(tmp_path, capsys):
+    fit_path = run_fit(tmp_path, TOY_MISSING, "--bandwidth", "fixed:1e-3,1e-3,1e-3")
+    out = capsys.readouterr().out
+    counts = json.loads(fit_path.read_text())["diagnostics"]["underflow_fallbacks"]
+    assert list(counts) == ["u1", "w1", "w2"]  # nonlinear first, then linear
+    assert f"underflow: {counts})" in out
+
+
 def test_fit_quantile_knots(tmp_path, capsys):
     fit_path = run_fit(tmp_path, TOY, "--placement", "quantile", "--knots", "2")
     capsys.readouterr()
@@ -456,6 +464,7 @@ def test_average_without_complete_rows_needs_predict_data(tmp_path, capsys):
     assert "uniform fallback" in captured.out
     assert captured.err == "error: no complete rows to predict; give --predict-data\n"
     assert not (tmp_path / "p.csv").exists()
+    assert not report.exists()
 
 
 def test_average_reruns_are_byte_identical(tmp_path, capsys):

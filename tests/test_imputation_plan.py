@@ -16,7 +16,8 @@ from primeplm import ModelStructure, ObservationTable, build_pattern_index, make
 from primeplm import kernel_impute
 from primeplm.errors import DegenerateSampleWarning
 from primeplm.kernel_impute import ImputationPlan, KernelConfig, _projected_sd
-from primeplm.prime_fit import assemble_design
+from primeplm.prime_fit import assemble_design, fit_prime
+from primeplm.spline import basis_matrix
 from reference_kernel import (
     direct_imputation,
     imputed_weights,
@@ -138,8 +139,8 @@ def test_forced_underflow_and_no_donor_cells_match_direct_formula():
 
 
 def test_underflow_rule_uses_absolute_log_weights():
-    # moderate scaled distances keep the product form, yet every log-weight
-    # is below -700 once the per-target offset -|u_t|^2 / 2 is counted
+    # the nearest donor is the row maximum, yet its absolute log-weight
+    # const - |u_t - u_d|^2 is below -700
     x = np.array([[0.0, np.nan], [0.9, 5.0], [1.0, 9.0]])
     table = ObservationTable(
         y=np.zeros(3), x=x, mask=~np.isnan(x), columns=("a", "b"),
@@ -147,7 +148,11 @@ def test_underflow_rule_uses_absolute_log_weights():
     )
     plan = ImputationPlan(table, build_pattern_index(table),
                           KernelConfig(bandwidth="fixed", fixed_h=(0.02, 1.0)))
-    assert plan._kernel(plan._patterns[0]).product
+    u, const = plan._kernel(plan._patterns[0], {})
+    logw = const - ((u[1:] - u[0]) ** 2).sum(axis=1)
+    want = -0.5 * (x[1:, 0] / 0.02) ** 2 - 0.5 * np.log(2 * np.pi) - np.log(0.02)
+    assert_allclose(logw, want, rtol=1e-12)
+    assert logw.max() < -700
     values = {1: (np.array(x[:, 1:]),)}
     plan.impute(values)
     assert values[1][0][0, 0] == pytest.approx(7.0)
@@ -206,9 +211,9 @@ def test_projected_bandwidth_matches_pooled_two_pass():
         proj = (directions[:, :, None] * table.x[np.ix_(pp.rows, pp.cond)].T).sum(axis=1)
         pooled = pooled_projected_differences(table.x, table.mask, pp.targets[0], directions)
         want = silverman(pooled, table.n)[0]
-        # the kernel's coordinates are the projections over h * sqrt(directions)
-        u = plan._kernel(pp).right[: len(directions)]
-        got = np.ptp(proj, axis=1) / np.ptp(u, axis=1) / np.sqrt(len(directions))
+        # the kernel's coordinates are the projections over h * sqrt(2 * directions)
+        u, _ = plan._kernel(pp, {})
+        got = np.ptp(proj, axis=1) / np.ptp(u, axis=0) / np.sqrt(2 * len(directions))
         assert_allclose(got, want, rtol=1e-12)
         checked += 1
     assert checked >= 5
@@ -248,7 +253,7 @@ def test_degenerate_projected_bandwidth_falls_back_with_pattern_label():
     [
         KernelConfig(),
         KernelConfig(projection="resampled", n_projections=2, projection_threshold=2, seed=9),
-        KernelConfig(bandwidth="fixed", fixed_h=(1e-3,) * 8),  # column-by-column form
+        KernelConfig(bandwidth="fixed", fixed_h=(1e-3,) * 8),  # cells underflow
     ],
     ids=["product", "resampled", "tiny-fixed-h"],
 )
@@ -263,3 +268,88 @@ def test_chunked_design_is_bit_identical(monkeypatch, config, block):
     assert np.array_equal(whole.matrix, chunked.matrix)
     assert whole.imputation == chunked.imputation
 
+
+def one_point_table(n_donors):
+    """Columns a, b, c at 0.5 on every row, d observed as 1..n_donors on all
+    rows but the last two: both the column bandwidths of a, b, c and the
+    projected bandwidth of the pattern observing (a, b, c) are degenerate."""
+    d = np.append(np.arange(1.0, n_donors + 1), [np.nan, np.nan])
+    x = np.column_stack([np.full((d.size, 3), 0.5), d])
+    cols = ("a", "b", "c", "d")
+    return ObservationTable(
+        y=np.arange(d.size, dtype=float), x=x, mask=~np.isnan(x), columns=cols,
+        structure=ModelStructure(nonlinear=(), linear=cols),
+    )
+
+
+DEGENERATE = [
+    (KernelConfig(), ("a", "b", "c")),
+    (KernelConfig(projection="resampled", n_projections=2, projection_threshold=2),
+     ("pattern:a,b,c",)),
+]
+
+
+@pytest.mark.parametrize("config, labels", DEGENERATE, ids=["product", "resampled"])
+def test_second_impute_warns_and_counts_again(config, labels):
+    table = one_point_table(2)
+    plan = ImputationPlan(table, build_pattern_index(table), config)
+    for call in (1, 2):
+        values = {3: (np.array(table.x[:, 3:4]),)}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            plan.impute(values)
+        assert len(caught) == len(labels)
+        for label in labels:
+            needle = label if label.startswith("pattern:") else repr(label)
+            assert sum(needle + ", falling back" in str(w.message) for w in caught) == 1
+        assert plan.diagnostics.degenerate_bandwidths == Counter(dict.fromkeys(labels, call))
+        assert_allclose(values[3][0][2:, 0], [1.5, 1.5])
+
+
+@pytest.mark.parametrize("config, labels", DEGENERATE, ids=["product", "resampled"])
+@pytest.mark.parametrize("entry", ["assemble_design", "fit_prime"])
+def test_degenerate_warnings_point_at_the_caller_of_impute(config, labels, entry):
+    table = one_point_table(6)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if entry == "fit_prime":
+            fit_prime(table, SPEC, config)
+        else:
+            assemble_design(table, build_pattern_index(table), SPEC, config)
+    caught = [w for w in caught if issubclass(w.category, DegenerateSampleWarning)]
+    assert len(caught) == len(labels)
+    assert all(w.filename.endswith("prime_fit.py") for w in caught)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        KernelConfig(),
+        KernelConfig(projection="resampled", n_projections=1, projection_threshold=1, seed=2),
+        KernelConfig(bandwidth="fixed", fixed_h=(1e-6,) * 3),
+    ],
+    ids=["product", "resampled", "tiny-fixed-h"],
+)
+def test_row_without_observed_covariate_takes_observed_means(config):
+    # row 0 observes nothing, so every row observing a column is its donor
+    # and every donor weighs the same
+    rng = np.random.default_rng(17)
+    x = rng.uniform(size=(24, 3))
+    mask = rng.uniform(size=x.shape) > 0.2
+    mask[0] = False
+    table = ObservationTable(
+        y=np.zeros(24), x=np.where(mask, x, np.nan), mask=mask, columns=("a", "b", "c"),
+        structure=ModelStructure(nonlinear=("a",), linear=("b", "c")),
+    )
+    design = assemble_design(table, build_pattern_index(table), SPEC, config)
+    want, no_donor, underflow, _ = direct_imputation(table, config, SPEC)
+    means = [basis_matrix(SPEC, x[mask[:, 0], 0]).mean(axis=0)]
+    means += [x[mask[:, j], j].mean() for j in (1, 2)]
+    for j, mean in enumerate(means):
+        got = design_value(table, design, 0, j, SPEC)
+        assert_allclose(got, mean, rtol=1e-12, atol=1e-15)
+        assert_allclose(got, want[0, j], rtol=0, atol=1e-12)
+    # the oracle weighs row 0 by exp(0) per donor, so equal counters show
+    # that it did not fall back
+    assert design.imputation.no_donor_fallbacks == no_donor
+    assert design.imputation.underflow_fallbacks == underflow
