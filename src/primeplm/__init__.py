@@ -11,7 +11,6 @@ from .dataset import (
     ModelStructure,
     NormalizationMap,
     ObservationTable,
-    PatternIndex,
     build_pattern_index,
     complete_case_subset,
     load_csv,
@@ -21,9 +20,9 @@ from .dataset import (
 )
 from .kernel_impute import (
     ImputationDiagnostics,
-    ImputationPlan,
     KernelConfig,
     draw_directions,
+    impute,
 )
 from .model_averaging import (
     AveragedFit,
@@ -74,13 +73,13 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # dataset
-    "ModelStructure", "ObservationTable", "PatternIndex", "NormalizationMap",
+    "ModelStructure", "ObservationTable", "NormalizationMap",
     "load_structure", "load_csv", "write_csv", "build_pattern_index",
     "complete_case_subset", "minmax_normalize",
     # spline
     "SplineSpec", "make_spec", "basis_matrix",
     # kernel imputation
-    "KernelConfig", "ImputationDiagnostics", "ImputationPlan", "draw_directions",
+    "KernelConfig", "ImputationDiagnostics", "draw_directions", "impute",
     # fitting
     "DesignMatrix", "FitDiagnostics", "PrimeFit", "assemble_design",
     "solve_least_squares", "fit_prime", "fit_cc", "fit_mean_impute",

@@ -3,8 +3,8 @@
 A table stores the response, the covariate matrix (NaN where unobserved),
 the observation mask, and a structure that partitions covariate columns
 into nonlinear (spline-modeled) and linear ones.  Tables are immutable
-after construction; re-partitioning for candidate models shares the
-underlying arrays.
+after construction: each holds its own read-only copies of its arrays,
+re-partitioned ones included.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import csv
 import os
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .errors import (
 __all__ = [
     "ModelStructure",
     "ObservationTable",
-    "PatternIndex",
     "NormalizationMap",
     "load_structure",
     "load_csv",
@@ -68,7 +67,7 @@ class ModelStructure:
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, copy=True)
+    """``a``, made read-only in place."""
     a.flags.writeable = False
     return a
 
@@ -78,7 +77,8 @@ class ObservationTable:
     """Response y, covariates x (NaN where mask is False), and structure.
 
     ``columns`` fixes the physical column order of ``x``; the structure is
-    any partition of those names, so candidate re-partitions reuse the data.
+    any partition of those names.  The table copies y, x and mask once and
+    makes the copies read-only, so no caller's array is shared.
     """
 
     y: np.ndarray
@@ -88,9 +88,9 @@ class ObservationTable:
     structure: ModelStructure
 
     def __post_init__(self):
-        y = np.asarray(self.y, dtype=float)
+        y = np.array(self.y, dtype=float)
         x = np.asarray(self.x, dtype=float)
-        mask = np.asarray(self.mask, dtype=bool)
+        mask = np.array(self.mask, dtype=bool)
         if y.ndim != 1 or x.ndim != 2 or mask.shape != x.shape:
             raise StructureMismatch("y must be 1-d, x 2-d, mask shaped like x")
         if x.shape[0] != y.shape[0]:
@@ -112,7 +112,8 @@ class ObservationTable:
             raise MissingResponse("response contains missing or non-finite values")
         if not np.all(np.isfinite(x[mask])):
             raise MalformedCsv("observed covariate entries must be finite")
-        # unobserved entries are stored as NaN and never read as values
+        # unobserved entries are stored as NaN and never read as values;
+        # np.where makes x's one copy
         x = np.where(mask, x, np.nan)
         object.__setattr__(self, "y", _frozen(y))
         object.__setattr__(self, "x", _frozen(x))
@@ -138,26 +139,18 @@ class ObservationTable:
         return np.array([self.position(c) for c in self.structure.linear], dtype=int)
 
     def with_structure(self, structure: ModelStructure) -> "ObservationTable":
-        """Same data under a different nonlinear/linear partition."""
+        """A copy of the data under a different nonlinear/linear partition."""
         return ObservationTable(self.y, self.x, self.mask, self.columns, structure)
 
 
-@dataclass(frozen=True)
-class PatternIndex:
-    """Rows grouped by observation pattern.
-
-    groups maps each distinct mask row (its bytes) to the ascending row
-    indices sharing it, in order of first occurrence.
-    """
-
-    groups: dict[bytes, np.ndarray] = field(repr=False)
-
-
-def build_pattern_index(table: ObservationTable) -> PatternIndex:
+def build_pattern_index(table: ObservationTable) -> dict[bytes, np.ndarray]:
+    """Rows grouped by observation pattern: each distinct mask row (its
+    bytes) maps to the ascending row indices sharing it, in order of first
+    occurrence."""
     groups: dict[bytes, list[int]] = {}
     for i, row in enumerate(table.mask):
         groups.setdefault(row.tobytes(), []).append(i)
-    return PatternIndex({k: _frozen(np.array(v, dtype=int)) for k, v in groups.items()})
+    return {k: _frozen(np.array(v, dtype=int)) for k, v in groups.items()}
 
 
 def complete_case_subset(table: ObservationTable) -> np.ndarray:

@@ -6,8 +6,8 @@ C (or, when C is large, by projective resampling onto random directions).
 Spline-basis rows are imputed with the same weights for every basis
 component, so an imputed row still sums to one.
 
-Donors depend only on the missing pattern and the column, so
-``ImputationPlan.impute`` makes one pass per pattern: it scales the pattern's
+Donors depend only on the missing pattern and the column, so ``impute``
+makes one pass per incomplete pattern: it scales the pattern's
 coordinates once, then for each missing column computes the log-weights,
 targets x donors, from one block of squared distances and applies the
 normalized weights to every array of the column.  Targets are taken in
@@ -24,14 +24,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import ObservationTable, PatternIndex
+from .dataset import ObservationTable
 from .errors import DegenerateColumn, DegenerateSampleWarning, InvalidConfig
 
 __all__ = [
     "KernelConfig",
     "ImputationDiagnostics",
-    "ImputationPlan",
     "draw_directions",
+    "impute",
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -144,142 +144,138 @@ def _projected_sd(proj: np.ndarray, targets: np.ndarray) -> float:
     return math.sqrt(var) if var > 0.0 else 0.0
 
 
-@dataclass(frozen=True)
-class _Pattern:
-    cond: np.ndarray  # columns the pattern observes
-    missing: np.ndarray  # columns it misses
-    targets: np.ndarray  # rows with this pattern
-    rows: np.ndarray  # rows observing every column of cond, targets included
+def _silverman(sd: float, n: int, label: str, what: str, diag: ImputationDiagnostics) -> float:
+    """1.06 * sd * n**-0.2; a degenerate sd is counted under ``label``,
+    warned about as ``what`` and taken as 1.  Called from _kernel only, so
+    the warning points at the caller of impute."""
+    if not math.isfinite(sd) or sd <= 0.0:
+        diag.degenerate_bandwidths[label] += 1
+        warnings.warn(
+            f"{what}, falling back to 1.06 * n**-0.2", DegenerateSampleWarning, stacklevel=4
+        )
+        sd = 1.0
+    return 1.06 * sd * n ** (-0.2)
 
 
-class ImputationPlan:
-    """Donor weights of one table, planned per incomplete missing pattern;
-    ``impute``, its one entry point, fills caller-supplied arrays."""
-
-    def __init__(self, table: ObservationTable, pattern: PatternIndex, config: KernelConfig):
-        if config.bandwidth == "fixed" and len(config.fixed_h) != len(table.columns):
+def _kernel(table, config, xt, cond, rows, targets, column_h, diag) -> tuple[np.ndarray, float]:
+    """(u, const) of the pattern that observes the columns ``cond``: its
+    ``rows`` (every row observing cond; its own ``targets`` among them) as
+    C-contiguous (rows, coordinates), centred and divided by the bandwidths
+    times sqrt(2), so that the log-weight of target t at donor d is
+    const - |u_t - u_d|^2.  ``xt`` is table.x column-major; column bandwidths
+    missing from ``column_h`` are added to it."""
+    m = len(cond)
+    z = xt[np.ix_(cond, rows)]
+    if config.projection == "resampled" and m > config.projection_threshold:
+        if config.n_projections >= m:
             raise InvalidConfig(
-                f"fixed_h needs {len(table.columns)} entries, got {len(config.fixed_h)}"
+                f"n_projections must stay below the conditioning size "
+                f"({config.n_projections} >= {m})"
             )
-        self._table = table
-        self._config = config
-        self.diagnostics = ImputationDiagnostics()
-        # column-major copies: a pattern's rows are gathered from contiguous runs
-        self._xt = np.ascontiguousarray(table.x.T)
-        self._observed = np.ascontiguousarray(table.mask.T)
-        self._patterns: list[_Pattern] = []
-        for targets in pattern.groups.values():
-            observed = table.mask[targets[0]]
-            if not observed.all():
-                cond = np.flatnonzero(observed)
-                rows = np.flatnonzero(np.logical_and.reduce(self._observed[cond], axis=0))
-                self._patterns.append(_Pattern(cond, np.flatnonzero(~observed), targets, rows))
+        seed = np.random.SeedSequence([config.seed, _DIRECTION_TAG, *cond.tolist()])
+        v = draw_directions(m, config.n_projections, config.projection_dist, seed)
+        # summed column by column, so equal rows project to equal values
+        z = (v[:, :, None] * z).sum(axis=1)
+        # Silverman on the pooled projected target-row differences, n = table rows
+        label = "pattern:" + ",".join(table.columns[c] for c in cond)
+        sd = _projected_sd(z, np.searchsorted(rows, targets))
+        what = f"degenerate projected-difference sample for {label}"
+        h = _silverman(sd, table.n, label, what, diag)
+        const = -0.5 * _LOG_2PI - math.log(h)
+        # the geometric mean over the directions divides |.|^2 by their count
+        scale = np.full(len(v), h * math.sqrt(len(v)))
+    else:
+        for c in (c for c in cond.tolist() if c not in column_h):
+            if config.bandwidth == "fixed":
+                column_h[c] = config.fixed_h[c]
+            else:
+                name = table.columns[c]
+                sd = _sample_sd(xt[c, table.mask[:, c]])
+                what = f"zero-variance bandwidth sample for column {name!r}"
+                column_h[c] = _silverman(sd, table.n, name, what, diag)
+        scale = np.array([column_h[c] for c in cond.tolist()])
+        const = -float((0.5 * _LOG_2PI + np.log(scale)).sum())
+    u = (z - z.mean(axis=1, keepdims=True)) / (scale[:, None] * math.sqrt(2.0))
+    return np.ascontiguousarray(u.T), const
 
-    def _silverman(self, sd: float, label: str, what: str) -> float:
-        """1.06 * sd * n**-0.2 over the table's n rows; a degenerate sd is
-        counted under ``label``, warned about as ``what`` and taken as 1.
-        Called from _kernel only, so the warning points at impute's caller."""
-        if not math.isfinite(sd) or sd <= 0.0:
-            self.diagnostics.degenerate_bandwidths[label] += 1
-            warnings.warn(
-                f"{what}, falling back to 1.06 * n**-0.2", DegenerateSampleWarning, stacklevel=4
+
+def impute(
+    table: ObservationTable,
+    pattern: dict[bytes, np.ndarray],
+    config: KernelConfig,
+    values: dict[int, tuple],
+) -> ImputationDiagnostics:
+    """Fill the missing rows of each array in ``values[j]`` in place and
+    return the fallback counts of this call.
+
+    ``pattern`` is ``build_pattern_index(table)``.  ``values`` maps a column
+    position to a tuple of (n, d) arrays whose rows are set wherever column
+    j is observed; all of them are filled with the same weights.  For each
+    incomplete pattern and missing column, the log-weights of a chunk of
+    targets against the column's donors come from one block of squared
+    distances between their kernel coordinates.  A missing row becomes the
+    kernel-weighted average of its donors' rows, or the mean of the observed
+    rows when there is no donor or its largest absolute log-weight is below
+    -700.  Bandwidths are computed once per call, so each degenerate one
+    warns and is counted once per call.
+    """
+    if config.bandwidth == "fixed" and len(config.fixed_h) != len(table.columns):
+        raise InvalidConfig(
+            f"fixed_h needs {len(table.columns)} entries, got {len(config.fixed_h)}"
+        )
+    diag, mask = ImputationDiagnostics(), table.mask
+    incomplete = [targets for targets in pattern.values() if not mask[targets[0]].all()]
+    if not incomplete:
+        return diag  # every row complete: nothing to impute
+    # imported here: scipy.spatial takes ~0.2 s and ~5 MB to load, which
+    # predict and complete tables need not pay
+    from scipy.spatial.distance import cdist
+
+    arrays = {j: v for j, v in values.items() if not mask[:, j].all()}
+    for j in arrays:
+        if not mask[:, j].any():
+            raise DegenerateColumn(
+                f"column {table.columns[j]!r} is never observed; nothing to impute"
             )
-            sd = 1.0
-        return 1.06 * sd * self._table.n ** (-0.2)
-
-    def _kernel(self, pp: _Pattern, column_h: dict[int, float]) -> tuple[np.ndarray, float]:
-        """(u, const): the pattern's rows as C-contiguous (rows, coordinates),
-        centred and divided by the bandwidths times sqrt(2), so that the
-        log-weight of target t at donor d is const - |u_t - u_d|^2.  Column
-        bandwidths missing from ``column_h`` are added to it."""
-        config, m = self._config, len(pp.cond)
-        z = self._xt[np.ix_(pp.cond, pp.rows)]
-        if config.projection == "resampled" and m > config.projection_threshold:
-            if config.n_projections >= m:
-                raise InvalidConfig(
-                    f"n_projections must stay below the conditioning size "
-                    f"({config.n_projections} >= {m})"
-                )
-            seed = np.random.SeedSequence([config.seed, _DIRECTION_TAG, *pp.cond.tolist()])
-            v = draw_directions(m, config.n_projections, config.projection_dist, seed)
-            # summed column by column, so equal rows project to equal values
-            z = (v[:, :, None] * z).sum(axis=1)
-            # Silverman on the pooled projected target-row differences, n = table rows
-            label = "pattern:" + ",".join(self._table.columns[c] for c in pp.cond)
-            sd = _projected_sd(z, np.searchsorted(pp.rows, pp.targets))
-            h = self._silverman(sd, label, f"degenerate projected-difference sample for {label}")
-            const = -0.5 * _LOG_2PI - math.log(h)
-            # the geometric mean over the directions divides |.|^2 by their count
-            scale = np.full(len(v), h * math.sqrt(len(v)))
-        else:
-            for c in (c for c in pp.cond.tolist() if c not in column_h):
-                if config.bandwidth == "fixed":
-                    column_h[c] = config.fixed_h[c]
-                else:
-                    name = self._table.columns[c]
-                    sd = _sample_sd(self._xt[c, self._observed[c]])
-                    what = f"zero-variance bandwidth sample for column {name!r}"
-                    column_h[c] = self._silverman(sd, name, what)
-            scale = np.array([column_h[c] for c in pp.cond.tolist()])
-            const = -float((0.5 * _LOG_2PI + np.log(scale)).sum())
-        u = (z - z.mean(axis=1, keepdims=True)) / (scale[:, None] * math.sqrt(2.0))
-        return np.ascontiguousarray(u.T), const
-
-    def impute(self, values: dict[int, tuple]) -> None:
-        """Fill the missing rows of each array in ``values[j]`` in place.
-
-        ``values`` maps a column position to a tuple of (n, d) arrays whose
-        rows are set wherever column j is observed; all of them are filled
-        with the same weights.  For each pattern and missing column, the
-        log-weights of a chunk of targets against the column's donors come
-        from one block of squared distances between their kernel
-        coordinates.  A missing row becomes the kernel-weighted average of
-        its donors' rows, or the mean of the observed rows when there is no
-        donor or its largest absolute log-weight is below -700.  Bandwidths
-        are computed once per call, so each degenerate one warns and is
-        counted once per call.
-        """
-        if not self._patterns:
-            return  # every row complete: nothing to impute
-        # imported here: scipy.spatial takes ~0.2 s and ~5 MB to load, which
-        # predict and complete tables need not pay
-        from scipy.spatial.distance import cdist
-
-        mask = self._table.mask
-        arrays = {j: v for j, v in values.items() if not mask[:, j].all()}
-        for j in arrays:
-            if not mask[:, j].any():
-                raise DegenerateColumn(
-                    f"column {self._table.columns[j]!r} is never observed; nothing to impute"
-                )
-        fallback = {j: [out[mask[:, j]].mean(axis=0) for out in arrays[j]] for j in arrays}
-        diag, column_h = self.diagnostics, {}
-        for pp in self._patterns:
-            u = None  # built at the pattern's first column with a donor
-            for j in (j for j in pp.missing if j in arrays):
-                d = np.flatnonzero(self._observed[j, pp.rows])
-                if d.size == 0:
-                    for out, mean in zip(arrays[j], fallback[j]):
-                        out[pp.targets] = mean
-                    diag.no_donor_fallbacks[self._table.columns[j]] += pp.targets.size
-                    continue
-                if u is None:
-                    u, const = self._kernel(pp, column_h)
-                donors, ud = pp.rows[d], u[d]
-                step = max(1, _BLOCK_ELEMENTS // d.size)
-                for start in range(0, pp.targets.size, step):
-                    chunk = pp.targets[start : start + step]
-                    # each pair is its own sum, so chunking never changes a value
-                    w = cdist(u[np.searchsorted(pp.rows, chunk)], ud, "sqeuclidean")
-                    low = w.min(axis=1)
-                    kept = const - low >= _UNDERFLOW_LOG
-                    if not kept.all():
-                        w, low = w[kept], low[kept]
-                        diag.underflow_fallbacks[self._table.columns[j]] += chunk.size - w.shape[0]
-                    np.subtract(low[:, None], w, out=w)
-                    np.exp(w, out=w)
-                    total = w.sum(axis=1)[:, None]
-                    for out, mean in zip(arrays[j], fallback[j]):
-                        # one product per target row, so chunking never changes a value
-                        out[chunk[kept]] = np.matmul(w[:, None, :], out[donors])[:, 0, :] / total
-                        out[chunk[~kept]] = mean
+    fallback = {j: [out[mask[:, j]].mean(axis=0) for out in arrays[j]] for j in arrays}
+    # column-major copies: a pattern's rows are gathered from contiguous runs
+    xt = np.ascontiguousarray(table.x.T)
+    observed = np.ascontiguousarray(mask.T)
+    column_h = {}
+    for targets in incomplete:
+        seen = mask[targets[0]]
+        missing = [j for j in np.flatnonzero(~seen) if j in arrays]
+        if not missing:
+            continue
+        cond = np.flatnonzero(seen)
+        # rows observing every column of cond, targets included
+        rows = np.flatnonzero(np.logical_and.reduce(observed[cond], axis=0))
+        u = None  # built at the pattern's first column with a donor
+        for j in missing:
+            d = np.flatnonzero(observed[j, rows])
+            if d.size == 0:
+                for out, mean in zip(arrays[j], fallback[j]):
+                    out[targets] = mean
+                diag.no_donor_fallbacks[table.columns[j]] += targets.size
+                continue
+            if u is None:
+                u, const = _kernel(table, config, xt, cond, rows, targets, column_h, diag)
+            donors, ud = rows[d], u[d]
+            step = max(1, _BLOCK_ELEMENTS // d.size)
+            for start in range(0, targets.size, step):
+                chunk = targets[start : start + step]
+                # each pair is its own sum, so chunking never changes a value
+                w = cdist(u[np.searchsorted(rows, chunk)], ud, "sqeuclidean")
+                low = w.min(axis=1)
+                kept = const - low >= _UNDERFLOW_LOG
+                if not kept.all():
+                    w, low = w[kept], low[kept]
+                    diag.underflow_fallbacks[table.columns[j]] += chunk.size - w.shape[0]
+                np.subtract(low[:, None], w, out=w)
+                np.exp(w, out=w)
+                total = w.sum(axis=1)[:, None]
+                for out, mean in zip(arrays[j], fallback[j]):
+                    # one product per target row, so chunking never changes a value
+                    out[chunk[kept]] = np.matmul(w[:, None, :], out[donors])[:, 0, :] / total
+                    out[chunk[~kept]] = mean
+    return diag

@@ -10,8 +10,8 @@ the leverages of the hat-diagonal shortcut (Hansen & Racine 2012), so no
 unit is refitted.  Final predictions average the full-data candidate fits
 under those weights.  Every column is nonlinear in one candidate and linear
 in the others, so each is imputed once, values and basis rows together, by
-one plan on the raw table, and every candidate's design is stacked from
-those columns.
+one ``impute`` call on the raw table, and every candidate's design is
+stacked from those columns.
 """
 
 from __future__ import annotations
@@ -144,6 +144,8 @@ def cv_weights(E: np.ndarray) -> np.ndarray:
     both nonnegative); stops when no pair improves by more than 1e-12.
     """
     E = np.asarray(E, dtype=float)
+    if E.ndim != 2 or E.shape[1] == 0:
+        raise LengthMismatch(f"need a (units, candidates) matrix with a candidate, got {E.shape}")
     return _simplex_qp(E.T @ E)
 
 
@@ -186,6 +188,8 @@ def predict_averaged(fits, weights, rows: np.ndarray) -> np.ndarray:
     fits = tuple(fits)
     if weights.shape != (len(fits),):
         raise LengthMismatch(f"{len(fits)} fits but weight shape {weights.shape}")
+    if not fits:
+        raise LengthMismatch("no fits to average")
     out = None
     for fit, w in zip(fits, weights):
         term = w * predict(fit, rows)

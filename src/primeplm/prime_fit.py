@@ -26,7 +26,6 @@ from .dataset import (
     ModelStructure,
     NormalizationMap,
     ObservationTable,
-    PatternIndex,
     build_pattern_index,
     complete_case_subset,
     minmax_normalize,
@@ -41,7 +40,7 @@ from .errors import (
     Underdetermined,
     UnknownColumn,
 )
-from .kernel_impute import ImputationDiagnostics, ImputationPlan, KernelConfig
+from .kernel_impute import ImputationDiagnostics, KernelConfig, impute
 from .spline import SplineSpec, basis_matrix, make_spec
 
 __all__ = [
@@ -105,7 +104,7 @@ class PrimeFit:
 
 @dataclass(frozen=True)
 class _Imputed:
-    """A table's columns, every missing row imputed by one ImputationPlan: (n, 1)
+    """A table's columns, every missing row imputed by one ``impute`` call: (n, 1)
     values and (n, L) basis rows by position, and the blocks' observed-row means."""
 
     values: dict[int, np.ndarray]
@@ -131,9 +130,9 @@ class _Imputed:
 
 def _impute(table, pattern, spec, config, normalization, nonlinear, linear) -> _Imputed:
     """Impute the columns at ``nonlinear`` as basis rows of their values under
-    ``normalization`` and those at ``linear`` as values, by one ImputationPlan
-    on ``table`` as given.  A column asked for both goes through the plan
-    once, so its values and basis rows share the donor weights."""
+    ``normalization`` and those at ``linear`` as values, by one ``impute``
+    call on ``table`` as given.  A column asked for both is imputed once,
+    so its values and basis rows share the donor weights."""
     basis = {}
     for pos in nonlinear:
         observed = table.mask[:, pos]
@@ -141,14 +140,14 @@ def _impute(table, pattern, spec, config, normalization, nonlinear, linear) -> _
         basis[pos] = np.zeros((table.n, spec.basis_size))
         basis[pos][observed] = basis_matrix(spec, z)
     values = {pos: np.array(table.x[:, pos : pos + 1]) for pos in linear}
-    plan = ImputationPlan(table, pattern, config)
-    plan.impute({j: tuple(d[j] for d in (basis, values) if j in d) for j in {**basis, **values}})
+    arrays = {j: tuple(d[j] for d in (basis, values) if j in d) for j in {**basis, **values}}
+    imputation = impute(table, pattern, config, arrays)
     means = {pos: basis[pos][table.mask[:, pos]].mean(axis=0) for pos in basis}
-    return _Imputed(values, basis, means, spec, normalization, plan.diagnostics)
+    return _Imputed(values, basis, means, spec, normalization, imputation)
 
 
 def _impute_every_column(table, spec, config) -> _Imputed:
-    """Every column as values and as basis rows, by one plan on the raw table."""
+    """Every column as values and as basis rows, by one ``impute`` call on the raw table."""
     every = table.with_structure(ModelStructure(table.columns, ()))
     _, nmap = minmax_normalize(every)
     pos = every.nonlinear_pos
@@ -157,7 +156,7 @@ def _impute_every_column(table, spec, config) -> _Imputed:
 
 def assemble_design(
     table: ObservationTable,
-    pattern: PatternIndex,
+    pattern: dict[bytes, np.ndarray],
     spec: SplineSpec,
     config: KernelConfig,
     normalization: NormalizationMap | None = None,

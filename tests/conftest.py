@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from primeplm import ModelStructure, ObservationTable
-from primeplm.kernel_impute import ImputationPlan
+from primeplm.kernel_impute import impute
 from primeplm.spline import basis_matrix
 
 COLUMNS = ("x1", "x2", "x3", "x4", "x5", "x6", "x7", "x8")
@@ -100,7 +100,7 @@ def make_blockwise_table(n: int = 60, seed: int = 6) -> ObservationTable:
 
 
 def imputed_columns(table, pattern, config, spec=None):
-    """Every column of the table filled by one ImputationPlan, the way
+    """Every column of the table filled by one ``impute`` call, the way
     assemble_design fills them: (n, L) basis rows for nonlinear columns
     when ``spec`` is given, (n, 1) values for the other columns."""
     values = {}
@@ -111,7 +111,7 @@ def imputed_columns(table, pattern, config, spec=None):
             values[pos][observed] = basis_matrix(spec, table.x[observed, pos])
         else:
             values[pos] = np.array(table.x[:, pos : pos + 1])
-    ImputationPlan(table, pattern, config).impute({pos: (v,) for pos, v in values.items()})
+    impute(table, pattern, config, {pos: (v,) for pos, v in values.items()})
     return values
 
 

@@ -2,7 +2,7 @@
 
 Everything here is written from the estimator's definition, one cell or one
 unit at a time, and none of it runs in the package, except ``imputed_weights``,
-which reads a plan's donor weights back through ``ImputationPlan.impute``.
+which reads the package's donor weights back through ``kernel_impute.impute``.
 
 Imputation: a missing cell (i, j) borrows from its donors, the rows that
 observe everything unit i observes plus column j.  A donor's log-weight is
@@ -26,7 +26,7 @@ import numpy as np
 
 from primeplm import kernel_impute
 from primeplm.dataset import build_pattern_index
-from primeplm.kernel_impute import ImputationPlan, draw_directions
+from primeplm.kernel_impute import draw_directions, impute
 from primeplm.spline import basis_matrix
 
 HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -140,14 +140,14 @@ def direct_imputation(table, config, spec):
 
 def imputed_weights(table, config, j):
     """(n, n) matrix whose row i holds the normalized donor weights of cell
-    (i, j) over the table's rows, read back through ``ImputationPlan.impute``:
+    (i, j) over the table's rows, read back through ``kernel_impute.impute``:
     column j is imputed as n indicator columns, row r being e_r on the rows
     observing j.  A cell that falls back reads as the observed-row mean; an
     observed row i reads e_i."""
     observed = np.flatnonzero(table.mask[:, j])
     weights = np.zeros((table.n, table.n))
     weights[observed, observed] = 1.0
-    ImputationPlan(table, build_pattern_index(table), config).impute({j: (weights,)})
+    impute(table, build_pattern_index(table), config, {j: (weights,)})
     return weights
 
 

@@ -63,6 +63,20 @@ def test_table_arrays_frozen(pattern_table):
         pattern_table.mask[0, 0] = False
 
 
+def test_table_holds_its_own_read_only_copies(pattern_table):
+    x = np.array(pattern_table.x)
+    table = ObservationTable(pattern_table.y, x, pattern_table.mask, COLUMNS, STRUCTURE)
+    assert not table.x.flags.writeable
+    with pytest.raises(ValueError):
+        table.x[0, 0] = 7.0
+    for ours, theirs in ((table.x, x), (table.y, pattern_table.y),
+                         (table.mask, pattern_table.mask)):
+        assert not np.shares_memory(ours, theirs)
+    x[0, 0] = 7.0
+    assert table.x[0, 0] == pattern_table.x[0, 0]
+    assert not np.shares_memory(table.x, table.with_structure(STRUCTURE).x)
+
+
 def test_position_and_unknown(pattern_table):
     assert pattern_table.position("x4") == 3
     with pytest.raises(UnknownColumn):
@@ -71,11 +85,11 @@ def test_position_and_unknown(pattern_table):
 
 def test_pattern_fixture_layout(pattern_table):
     pat = build_pattern_index(pattern_table)
-    assert len(pat.groups) == 5
+    assert len(pat) == 5
     assert_array_equal(complete_case_subset(pattern_table), [0, 1])
     # row 2 misses {2, 5, 6, 7} and shares that pattern with row 3
-    assert_array_equal(pat.groups[pattern_table.mask[2].tobytes()], [2, 3])
-    observed = [np.flatnonzero(np.frombuffer(key, dtype=bool)) for key in pat.groups]
+    assert_array_equal(pat[pattern_table.mask[2].tobytes()], [2, 3])
+    observed = [np.flatnonzero(np.frombuffer(key, dtype=bool)) for key in pat]
     assert_array_equal(observed[1], [0, 1, 3, 4])
     assert [len(c) for c in observed] == [8, 4, 6, 7, 5]
 
@@ -87,7 +101,7 @@ def test_pattern_partition_property():
         pat = build_pattern_index(table)
         firsts = []
         seen = np.zeros(table.n, dtype=int)
-        for key, rows in pat.groups.items():
+        for key, rows in pat.items():
             assert (table.mask[rows] == np.frombuffer(key, dtype=bool)).all()
             assert_array_equal(rows, np.sort(rows))
             seen[rows] += 1

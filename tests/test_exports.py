@@ -18,3 +18,24 @@ def test_every_exported_name_resolves(module):
     exported = getattr(module, "__all__", [])
     assert len(exported) == len(set(exported)), "duplicate names in __all__"
     assert [name for name in exported if not hasattr(module, name)] == []
+
+
+# every addition to or removal from the package's API shows up here
+PUBLIC_API = [
+    "AveragedFit", "CvMatrix", "DesignMatrix", "FitDiagnostics", "ImputationDiagnostics",
+    "KernelConfig", "MR_PARAMS_60", "MR_PARAMS_85", "MethodMetrics", "MetricsReport",
+    "ModelStructure", "NormalizationMap", "ObservationTable", "PrimeFit",
+    "ReplicationRecord", "SIM_COLUMNS", "SIM_STRUCTURE", "ScenarioConfig", "SplineSpec",
+    "TRUE_BETA", "__version__", "apply_missing_scenario1", "apply_missing_scenario2",
+    "assemble_design", "basis_matrix", "build_candidates", "build_cv_matrix",
+    "build_pattern_index", "cc_design", "complete_case_subset", "cv_weights",
+    "draw_directions", "estimate_g", "fit_cc", "fit_mean_impute", "fit_prime",
+    "fit_prime_ma", "gen_covariates", "gen_errors", "impute", "load_csv", "load_fit",
+    "load_structure", "make_spec", "minmax_normalize", "predict", "predict_averaged",
+    "run_study", "save_fit", "sigma_for_r2", "solve_least_squares", "true_mean", "write_csv",
+]
+
+
+def test_public_api_is_pinned():
+    assert PUBLIC_API == sorted(PUBLIC_API)
+    assert sorted(primeplm.__all__) == PUBLIC_API

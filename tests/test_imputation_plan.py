@@ -1,5 +1,5 @@
-"""ImputationPlan against the direct per-cell Nadaraya-Watson formula of
-reference_kernel, on hypothesis tables and on hand-built edge cases."""
+"""kernel_impute.impute against the direct per-cell Nadaraya-Watson formula
+of reference_kernel, on hypothesis tables and on hand-built edge cases."""
 
 import warnings
 from collections import Counter
@@ -15,7 +15,7 @@ from conftest import make_random_table
 from primeplm import ModelStructure, ObservationTable, build_pattern_index, make_spec
 from primeplm import kernel_impute
 from primeplm.errors import DegenerateSampleWarning
-from primeplm.kernel_impute import ImputationPlan, KernelConfig, _projected_sd
+from primeplm.kernel_impute import ImputationDiagnostics, KernelConfig, _projected_sd, impute
 from primeplm.prime_fit import assemble_design, fit_prime
 from primeplm.spline import basis_matrix
 from reference_kernel import (
@@ -27,6 +27,22 @@ from reference_kernel import (
 )
 
 SPEC = make_spec()
+
+
+def pattern_rows(table, targets):
+    """(cond, rows) of the pattern of ``targets``: the columns it observes
+    and every row observing all of them, ascending."""
+    cond = np.flatnonzero(table.mask[targets[0]])
+    return cond, np.flatnonzero(table.mask[:, cond].all(axis=1))
+
+
+def kernel(table, config, targets):
+    """kernel_impute._kernel of the pattern of ``targets``, with fresh
+    bandwidths and counters."""
+    cond, rows = pattern_rows(table, targets)
+    xt = np.ascontiguousarray(table.x.T)
+    return kernel_impute._kernel(table, config, xt, cond, rows, targets, {},
+                                 ImputationDiagnostics())
 
 
 def design_value(table, design, i, j, spec):
@@ -146,17 +162,16 @@ def test_underflow_rule_uses_absolute_log_weights():
         y=np.zeros(3), x=x, mask=~np.isnan(x), columns=("a", "b"),
         structure=ModelStructure(nonlinear=("a",), linear=("b",)),
     )
-    plan = ImputationPlan(table, build_pattern_index(table),
-                          KernelConfig(bandwidth="fixed", fixed_h=(0.02, 1.0)))
-    u, const = plan._kernel(plan._patterns[0], {})
+    config = KernelConfig(bandwidth="fixed", fixed_h=(0.02, 1.0))
+    u, const = kernel(table, config, np.array([0]))
     logw = const - ((u[1:] - u[0]) ** 2).sum(axis=1)
     want = -0.5 * (x[1:, 0] / 0.02) ** 2 - 0.5 * np.log(2 * np.pi) - np.log(0.02)
     assert_allclose(logw, want, rtol=1e-12)
     assert logw.max() < -700
     values = {1: (np.array(x[:, 1:]),)}
-    plan.impute(values)
+    diagnostics = impute(table, build_pattern_index(table), config, values)
     assert values[1][0][0, 0] == pytest.approx(7.0)
-    assert plan.diagnostics.underflow_fallbacks == Counter({"b": 1})
+    assert diagnostics.underflow_fallbacks == Counter({"b": 1})
 
 
 def test_cell_weights_match_direct_formula():
@@ -202,17 +217,17 @@ def test_projected_bandwidth_matches_pooled_two_pass():
     pattern = build_pattern_index(table)
     config = KernelConfig(projection="resampled", n_projections=2, projection_threshold=2,
                           seed=4)
-    plan = ImputationPlan(table, pattern, config)
     checked = 0
-    for pp in plan._patterns:
-        if pp.cond.size <= 2:
+    for targets in pattern.values():
+        cond, rows = pattern_rows(table, targets)
+        if cond.size <= 2 or cond.size == len(table.columns):
             continue
-        directions = pattern_directions(config, pp.cond)
-        proj = (directions[:, :, None] * table.x[np.ix_(pp.rows, pp.cond)].T).sum(axis=1)
-        pooled = pooled_projected_differences(table.x, table.mask, pp.targets[0], directions)
+        directions = pattern_directions(config, cond)
+        proj = (directions[:, :, None] * table.x[np.ix_(rows, cond)].T).sum(axis=1)
+        pooled = pooled_projected_differences(table.x, table.mask, targets[0], directions)
         want = silverman(pooled, table.n)[0]
         # the kernel's coordinates are the projections over h * sqrt(2 * directions)
-        u, _ = plan._kernel(pp, {})
+        u, _ = kernel(table, config, targets)
         got = np.ptp(proj, axis=1) / np.ptp(u, axis=0) / np.sqrt(2 * len(directions))
         assert_allclose(got, want, rtol=1e-12)
         checked += 1
@@ -234,11 +249,10 @@ def test_degenerate_projected_bandwidth_falls_back_with_pattern_label():
         structure=ModelStructure(nonlinear=(), linear=cols),
     )
     config = KernelConfig(projection="resampled", n_projections=2, projection_threshold=2)
-    plan = ImputationPlan(table, build_pattern_index(table), config)
     values = {3: (np.array(table.x[:, 3:4]),)}
     with pytest.warns(DegenerateSampleWarning, match="pattern:a,b,c"):
-        plan.impute(values)
-    assert plan.diagnostics.degenerate_bandwidths == Counter({"pattern:a,b,c": 1})
+        diagnostics = impute(table, build_pattern_index(table), config, values)
+    assert diagnostics.degenerate_bandwidths == Counter({"pattern:a,b,c": 1})
     pooled = pooled_projected_differences(x, table.mask, 2, np.ones((2, 3)))
     assert pooled.size == 12 and pooled.std() == 0.0
     # every donor sits at the target, so weights are uniform
@@ -253,9 +267,10 @@ def test_degenerate_projected_bandwidth_falls_back_with_pattern_label():
     [
         KernelConfig(),
         KernelConfig(projection="resampled", n_projections=2, projection_threshold=2, seed=9),
-        KernelConfig(bandwidth="fixed", fixed_h=(1e-3,) * 8),  # cells underflow
+        KernelConfig(bandwidth="fixed", fixed_h=(1e-3,) * 8),  # every cell underflows
+        KernelConfig(bandwidth="fixed", fixed_h=(0.05,) * 8),  # some cells underflow
     ],
-    ids=["product", "resampled", "tiny-fixed-h"],
+    ids=["product", "resampled", "tiny-fixed-h", "mixed-fixed-h"],
 )
 @pytest.mark.parametrize("block", [1, 37])
 def test_chunked_design_is_bit_identical(monkeypatch, config, block):
@@ -263,6 +278,10 @@ def test_chunked_design_is_bit_identical(monkeypatch, config, block):
     table = make_random_table(rng, n=300, p=3, q=5, missing_rate=0.15)
     pattern = build_pattern_index(table)
     whole = assemble_design(table, pattern, SPEC, config)
+    if config.fixed_h == (0.05,) * 8:
+        # chunking is checked on applied kernel weights as well as on fallbacks
+        underflow = sum(whole.imputation.underflow_fallbacks.values())
+        assert 0 < underflow < (~table.mask).sum()
     monkeypatch.setattr(kernel_impute, "_BLOCK_ELEMENTS", block)
     chunked = assemble_design(table, pattern, SPEC, config)
     assert np.array_equal(whole.matrix, chunked.matrix)
@@ -291,18 +310,19 @@ DEGENERATE = [
 
 @pytest.mark.parametrize("config, labels", DEGENERATE, ids=["product", "resampled"])
 def test_second_impute_warns_and_counts_again(config, labels):
+    # each call computes its own bandwidths and returns its own counters
     table = one_point_table(2)
-    plan = ImputationPlan(table, build_pattern_index(table), config)
-    for call in (1, 2):
+    pattern = build_pattern_index(table)
+    for _ in range(2):
         values = {3: (np.array(table.x[:, 3:4]),)}
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            plan.impute(values)
+            diagnostics = impute(table, pattern, config, values)
         assert len(caught) == len(labels)
         for label in labels:
             needle = label if label.startswith("pattern:") else repr(label)
             assert sum(needle + ", falling back" in str(w.message) for w in caught) == 1
-        assert plan.diagnostics.degenerate_bandwidths == Counter(dict.fromkeys(labels, call))
+        assert diagnostics.degenerate_bandwidths == Counter(dict.fromkeys(labels, 1))
         assert_allclose(values[3][0][2:, 0], [1.5, 1.5])
 
 

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from conftest import imputed_columns, make_pattern_table, make_random_table
 from primeplm import ModelStructure, ObservationTable, build_pattern_index, make_spec
 from primeplm.errors import DegenerateSampleWarning, InvalidConfig
-from primeplm.kernel_impute import ImputationPlan, KernelConfig, draw_directions
+from primeplm.kernel_impute import KernelConfig, draw_directions, impute
 from primeplm.spline import basis_matrix
 from reference_kernel import (
     imputed_weights,
@@ -37,12 +37,11 @@ def missing_cells(table, columns):
 
 
 def impute_column(table, config, j):
-    """Column j alone filled by one plan over the table, with the plan's
-    fallback counts."""
-    plan = ImputationPlan(table, build_pattern_index(table), config)
+    """Column j alone filled by one ``impute`` call over the table, with
+    its fallback counts."""
     column = np.array(table.x[:, j : j + 1])
-    plan.impute({j: (column,)})
-    return column[:, 0], plan.diagnostics
+    diagnostics = impute(table, build_pattern_index(table), config, {j: (column,)})
+    return column[:, 0], diagnostics
 
 
 def test_silverman_examples():
@@ -351,7 +350,7 @@ def test_kernel_config_validation():
             KernelConfig(**{field: value})
     with pytest.raises(InvalidConfig):
         KernelConfig(projection="resampled", projection_dist="bimodal")
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(InvalidConfig, match="fixed_h needs 2 entries"):
         table = two_column_table(a=[0.1, 0.2], b=[1.0, 2.0])
         pattern = build_pattern_index(table)
-        ImputationPlan(table, pattern, KernelConfig(bandwidth="fixed", fixed_h=(1.0,)))
+        impute(table, pattern, KernelConfig(bandwidth="fixed", fixed_h=(1.0,)), {})

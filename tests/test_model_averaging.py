@@ -150,6 +150,11 @@ def test_cv_weights_forms_gram_from_residuals():
     assert_allclose(cv_weights(E), [0.8, 0.2], atol=1e-6)
 
 
+def test_cv_weights_without_candidates_raises_length_mismatch():
+    with pytest.raises(LengthMismatch, match="candidate"):
+        cv_weights(np.zeros((5, 0)))
+
+
 @settings(deadline=None, max_examples=60)
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(2, 6))
 def test_cv_weights_feasible_and_improving(seed, k):
@@ -308,6 +313,11 @@ def test_predict_averaged_degenerate_and_mixture():
     assert np.all(avg >= lo - 1e-10) and np.all(avg <= hi + 1e-10)
     with pytest.raises(LengthMismatch):
         predict_averaged(fits, np.array([0.5, 0.5]), rows)
+
+
+def test_predict_averaged_without_fits_raises_length_mismatch():
+    with pytest.raises(LengthMismatch, match="no fits"):
+        predict_averaged((), np.array([]), np.zeros((3, 2)))
 
 
 def test_fit_prime_ma_complete_data():

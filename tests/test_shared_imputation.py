@@ -1,8 +1,8 @@
 """fit_prime_ma's shared imputation against one fit_prime per candidate.
 
 fit_prime_ma imputes every incomplete column once, values and basis rows
-with one set of donor weights from one plan on the raw table, and stacks
-each candidate's design from those columns.  Each candidate fit must equal
+with one set of donor weights from one ``impute`` call on the raw table, and
+stacks each candidate's design from those columns.  Each candidate fit must equal
 fit_prime on the table under that candidate's structure: the same
 coefficients, predictions, fallback counters and warnings.
 """
