@@ -98,8 +98,6 @@ def _parse_projection(text: str) -> tuple[str, int, str]:
         count = int(parts[0])
     except ValueError:
         raise InvalidConfig(f"projection count must be an integer, got {parts[0]!r}") from None
-    if parts[1] not in ("standard_normal", "scaled_uniform"):
-        raise InvalidConfig(f"unknown direction distribution {parts[1]!r}")
     return "resampled", count, parts[1]
 
 
@@ -117,10 +115,8 @@ def _kernel_config(args, seed: int) -> KernelConfig:
     )
 
 
-def _spline_spec(args, table=None):
+def _spline_spec(args, table):
     if args.placement == "quantile":
-        if table is None:
-            raise InvalidConfig("quantile knots need training data")
         normalized, _ = minmax_normalize(table)
         pooled = np.concatenate(
             [

@@ -50,8 +50,8 @@ class KernelConfig:
     projection "resampled" replaces the product kernel by the geometric
     mean of n_projections univariate kernels along random directions
     whenever a unit observes more than projection_threshold covariates.
-    Fixed bandwidths must be finite and positive, the two counts and seed
-    integers, and seed nonnegative; anything else raises InvalidConfig.
+    fixed_h (fixed rule only) must be finite and positive, the counts and seed
+    integers, n_projections >= 1 and seed >= 0; anything else raises InvalidConfig.
     """
 
     bandwidth: str = "silverman"
@@ -76,9 +76,11 @@ class KernelConfig:
                     f"fixed bandwidths must be finite and positive, got {self.fixed_h}"
                 )
             object.__setattr__(self, "fixed_h", tuple(float(h) for h in self.fixed_h))
+        elif self.fixed_h is not None:
+            raise InvalidConfig(f"fixed_h needs the fixed bandwidth rule, got {self.fixed_h!r}")
         if self.projection not in ("none", "resampled"):
             raise InvalidConfig(f"unknown projection mode {self.projection!r}")
-        if self.projection == "resampled" and self.n_projections < 1:
+        if self.n_projections < 1:
             raise InvalidConfig("n_projections must be >= 1")
         if self.projection_dist not in ("standard_normal", "scaled_uniform"):
             raise InvalidConfig(f"unknown direction distribution {self.projection_dist!r}")

@@ -20,7 +20,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import ModelStructure, ObservationTable, complete_case_subset
+from .dataset import (
+    ModelStructure,
+    ObservationTable,
+    build_pattern_index,
+    complete_case_subset,
+    minmax_normalize,
+)
 from .errors import (
     DegenerateColumn,
     InsufficientCompleteCases,
@@ -28,7 +34,7 @@ from .errors import (
     SingularGram,
 )
 from .kernel_impute import KernelConfig
-from .prime_fit import PrimeFit, _Imputed, _impute_every_column, _solve, predict
+from .prime_fit import PrimeFit, _designs, _solve, predict
 from .spline import SplineSpec, basis_matrix, make_spec
 
 __all__ = [
@@ -58,12 +64,9 @@ def build_candidates(columns) -> list[ModelStructure]:
     ]
 
 
-def fit_candidate_full(table, candidate, config, imputed: _Imputed, n_complete: int) -> PrimeFit:
-    """Full-data fit of one candidate (used for the averaged prediction),
-    its design stacked from the imputed columns all candidates share."""
-    table = table.with_structure(candidate)
-    design = imputed.design(table)
-    return _solve(table, imputed.spec, config, imputed.normalization, design, n_complete)
+def fit_candidate_full(table, spec, config, normalization, design, n_complete) -> PrimeFit:
+    """Full-data fit of one candidate, ``table`` under its structure, on its design."""
+    return _solve(table, spec, config, normalization, design, n_complete)
 
 
 def cc_design(
@@ -221,9 +224,14 @@ def fit_prime_ma(
     spec = spec or make_spec()
     config = config or KernelConfig()
     candidates = build_candidates(table.columns)
-    imputed = _impute_every_column(table, spec, config)
+    nmap = minmax_normalize(table.with_structure(ModelStructure(table.columns, ())))[1]
+    designs = _designs(table, build_pattern_index(table), spec, config, nmap, candidates)
     rows = complete_case_subset(table)
-    fits = tuple(fit_candidate_full(table, c, config, imputed, rows.size) for c in candidates)
+    # each design is solved, and released, before the next is stacked
+    fits = tuple(
+        fit_candidate_full(table.with_structure(c), spec, config, nmap, next(designs), rows.size)
+        for c in candidates
+    )
     n_cov = len(table.columns)
     threshold = 1 + spec.basis_size + (n_cov - 1)
     notes: list[str] = []

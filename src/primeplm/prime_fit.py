@@ -17,7 +17,9 @@ import json
 import math
 import os
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field, fields
+from itertools import chain
 
 import numpy as np
 import scipy.linalg
@@ -102,56 +104,36 @@ class PrimeFit:
     diagnostics: FitDiagnostics
 
 
-@dataclass(frozen=True)
-class _Imputed:
-    """A table's columns, every missing row imputed by one ``impute`` call: (n, 1)
-    values and (n, L) basis rows by position, and the blocks' observed-row means."""
-
-    values: dict[int, np.ndarray]
-    basis: dict[int, np.ndarray]
-    means: dict[int, np.ndarray]
-    spec: SplineSpec
-    normalization: NormalizationMap
-    imputation: ImputationDiagnostics
-
-    def design(self, table: ObservationTable) -> DesignMatrix:
-        """The design of ``table.structure``, stacked from the imputed columns."""
-        L = self.spec.basis_size
-        means = np.array([self.means[pos] for pos in table.nonlinear_pos]).reshape(-1, L)
-        pieces = [np.ones((table.n, 1))]
-        pieces += [self.basis[pos] - m for pos, m in zip(table.nonlinear_pos, means)]
-        pieces += [self.values[pos] for pos in table.linear_pos]
-        labels = ["intercept"]
-        labels += [f"{name}:b{l + 1}" for name in table.structure.nonlinear for l in range(L)]
-        labels += table.structure.linear
-        imputation = copy.deepcopy(self.imputation)  # every design owns its counters
-        return DesignMatrix(np.hstack(pieces), tuple(labels), means, imputation)
-
-
-def _impute(table, pattern, spec, config, normalization, nonlinear, linear) -> _Imputed:
-    """Impute the columns at ``nonlinear`` as basis rows of their values under
-    ``normalization`` and those at ``linear`` as values, by one ``impute``
-    call on ``table`` as given.  A column asked for both is imputed once,
-    so its values and basis rows share the donor weights."""
-    basis = {}
-    for pos in nonlinear:
+def _designs(table, pattern, spec, config, normalization, structures) -> Iterator[DesignMatrix]:
+    """The designs of ``structures`` over ``table``'s columns, stacked as they
+    are taken from columns imputed by one ``impute`` call on ``table`` as given,
+    each with its own counters.  A column nonlinear in some structure is imputed
+    as basis rows of its values under ``normalization``, one linear in some
+    structure as values, and one asked for both shares its donor weights."""
+    L = spec.basis_size
+    nonlinear = [[table.position(c) for c in s.nonlinear] for s in structures]
+    linear = [[table.position(c) for c in s.linear] for s in structures]
+    basis, values = {}, {}
+    for pos in dict.fromkeys(chain.from_iterable(nonlinear)):
         observed = table.mask[:, pos]
         z = normalization.apply(table.columns[pos], table.x[observed, pos], clamp=False)
-        basis[pos] = np.zeros((table.n, spec.basis_size))
+        basis[pos] = np.zeros((table.n, L))
         basis[pos][observed] = basis_matrix(spec, z)
-    values = {pos: np.array(table.x[:, pos : pos + 1]) for pos in linear}
+    for pos in dict.fromkeys(chain.from_iterable(linear)):
+        values[pos] = np.array(table.x[:, pos : pos + 1])
     arrays = {j: tuple(d[j] for d in (basis, values) if j in d) for j in {**basis, **values}}
     imputation = impute(table, pattern, config, arrays)
     means = {pos: basis[pos][table.mask[:, pos]].mean(axis=0) for pos in basis}
-    return _Imputed(values, basis, means, spec, normalization, imputation)
 
+    def design(structure, nl, lin) -> DesignMatrix:
+        block_means = np.array([means[pos] for pos in nl]).reshape(-1, L)
+        blocks = [basis[pos] - m for pos, m in zip(nl, block_means)]
+        matrix = np.hstack([np.ones((table.n, 1)), *blocks, *(values[pos] for pos in lin)])
+        labels = [f"{name}:b{l + 1}" for name in structure.nonlinear for l in range(L)]
+        labels = ("intercept", *labels, *structure.linear)
+        return DesignMatrix(matrix, labels, block_means, copy.deepcopy(imputation))
 
-def _impute_every_column(table, spec, config) -> _Imputed:
-    """Every column as values and as basis rows, by one ``impute`` call on the raw table."""
-    every = table.with_structure(ModelStructure(table.columns, ()))
-    _, nmap = minmax_normalize(every)
-    pos = every.nonlinear_pos
-    return _impute(every, build_pattern_index(every), spec, config, nmap, pos, pos)
+    return map(design, structures, nonlinear, linear)
 
 
 def assemble_design(
@@ -165,8 +147,7 @@ def assemble_design(
     ``normalization`` maps the nonlinear columns onto [0, 1] for the spline
     basis, and without it they must already lie there."""
     nmap = normalization or NormalizationMap({c: (0.0, 1.0) for c in table.structure.nonlinear})
-    nonlinear, linear = table.nonlinear_pos, table.linear_pos
-    return _impute(table, pattern, spec, config, nmap, nonlinear, linear).design(table)
+    return next(_designs(table, pattern, spec, config, nmap, [table.structure]))
 
 
 def solve_least_squares(
@@ -291,9 +272,7 @@ def predict(fit: PrimeFit, rows: np.ndarray) -> np.ndarray:
         raise IncompleteRow("prediction rows must be fully observed")
     out = np.full(rows.shape[0], fit.intercept)
     for k, name in enumerate(fit.structure.nonlinear):
-        pos = fit.columns.index(name)
-        z = fit.normalization.apply(name, rows[:, pos], clamp=True)
-        out += (basis_matrix(fit.spec, z) - fit.centering_means[k]) @ fit.curve_coefs[k]
+        out += estimate_g(fit, k, rows[:, fit.columns.index(name)])
     for k, name in enumerate(fit.structure.linear):
         pos = fit.columns.index(name)
         out += rows[:, pos] * fit.linear_coefs[k]

@@ -106,7 +106,7 @@ def test_bad_bandwidth_and_projection_flags(tmp_path, capsys):
     assert main(base + ["--projection", "3"]) == 2
     assert main(base + ["--projection", "x:standard_normal"]) == 2
     assert main(base + ["--projection", "2:triangular"]) == 2
-    capsys.readouterr()
+    assert capsys.readouterr().err.endswith("unknown direction distribution 'triangular'\n")
     assert not (tmp_path / "f.json").exists()
 
 
@@ -349,6 +349,10 @@ KERNEL = {
     {"kernel": {**KERNEL, "bandwidth": "fixed", "fixed_h": [float("nan"), 1.0, 1.0]}},
     {"kernel": {**KERNEL, "bandwidth": "fixed", "fixed_h": [0.5, float("inf"), 1.0]}},
     {"kernel": {**KERNEL, "seed": -1}},
+    # a field that means nothing in its mode
+    {"kernel": {**KERNEL, "fixed_h": ["not", "a", "bandwidth"]}},
+    {"kernel": {**KERNEL, "fixed_h": [-1.0]}},
+    {"kernel": {**KERNEL, "n_projections": 0}},
     # integer fields must be JSON integers
     {"spline": {"degree": 3.7, "interior_knots": [0.3, 0.7]}},
     {"spline": {"degree": 3.0, "interior_knots": [0.3, 0.7]}},
@@ -370,6 +374,7 @@ KERNEL = {
     "no-range", "range-for-linear-column",
     "reversed-knots", "knot-above-one", "knot-on-boundary",
     "nan-bandwidth", "infinite-bandwidth", "negative-seed",
+    "bandwidths-under-silverman", "negative-bandwidth-under-silverman", "zero-projections",
     "fractional-degree", "float-degree", "string-degree", "fractional-seed", "bool-seed",
     "fractional-threshold", "string-projection-count",
     "kernel-key-missing", "kernel-key-extra",

@@ -1,7 +1,12 @@
-"""The package's public names: every entry of an ``__all__`` resolves."""
+"""The package's public names: every entry of an ``__all__`` resolves, and
+importing the package stays light."""
 
 import importlib
+import os
+import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -39,3 +44,19 @@ PUBLIC_API = [
 def test_public_api_is_pinned():
     assert PUBLIC_API == sorted(PUBLIC_API)
     assert sorted(primeplm.__all__) == PUBLIC_API
+
+
+# each of these takes a noticeable share of the package's import time and
+# memory; code that needs one imports it where it is used
+HEAVY = ("scipy.spatial", "scipy.interpolate", "scipy.optimize", "scipy.sparse")
+
+
+def test_import_loads_no_heavy_scipy_module():
+    src = str(pathlib.Path(primeplm.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, primeplm; print(' '.join(sorted(sys.modules)))"
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "primeplm" in loaded
+    assert [m for m in loaded if m.startswith(HEAVY)] == []

@@ -340,8 +340,13 @@ def test_kernel_config_validation():
     for projection in ("none", "resampled"):
         with pytest.raises(InvalidConfig, match="seed"):
             KernelConfig(projection=projection, seed=-1)
-    with pytest.raises(InvalidConfig):
-        KernelConfig(projection="resampled", n_projections=0)
+    for projection in ("none", "resampled"):
+        with pytest.raises(InvalidConfig, match="n_projections must be >= 1"):
+            KernelConfig(projection=projection, n_projections=0)
+    # fixed_h means nothing under the silverman rule, so none is accepted there
+    for fixed_h in ((0.5, 0.5), (-1.0,), "abc", ()):
+        with pytest.raises(InvalidConfig, match="fixed_h needs the fixed bandwidth rule"):
+            KernelConfig(bandwidth="silverman", fixed_h=fixed_h)
     # counts and seed are integers, numpy's included, but not bools
     KernelConfig(n_projections=np.int32(2), projection_threshold=np.int64(3), seed=np.uint8(4))
     for field, value in (("seed", 1.5), ("seed", True), ("projection_threshold", 2.0),

@@ -2,15 +2,18 @@
 
 fit_prime_ma imputes every incomplete column once, values and basis rows
 with one set of donor weights from one ``impute`` call on the raw table, and
-stacks each candidate's design from those columns.  Each candidate fit must equal
-fit_prime on the table under that candidate's structure: the same
-coefficients, predictions, fallback counters and warnings.
+stacks each candidate's design from those columns (``prime_fit._designs``).
+Each candidate fit must equal fit_prime on the table under that candidate's
+structure: the same coefficients, predictions, fallback counters and
+warnings.  One ``_designs`` call for several structures must give each the
+design that ``assemble_design`` gives it alone, bit for bit.
 """
 
 import json
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -18,15 +21,19 @@ from numpy.testing import assert_allclose
 from primeplm import (
     ModelStructure,
     ObservationTable,
+    assemble_design,
     build_candidates,
+    build_pattern_index,
     fit_prime,
     fit_prime_ma,
     make_spec,
+    minmax_normalize,
     predict,
     save_fit,
 )
 from primeplm.errors import DegenerateSampleWarning
 from primeplm.kernel_impute import KernelConfig
+from primeplm.prime_fit import _designs
 
 RTOL = 1e-12
 
@@ -119,25 +126,81 @@ def test_candidate_fits_equal_fit_prime(seed, n, k, knots, missing_rate, data):
     assert_candidates_match_fit_prime(table, make_spec(3, knots), config)
 
 
-def test_candidate_fits_equal_fit_prime_with_fallbacks_and_warnings():
-    # only rows 0 and 1 observe c0 and c1 together, and no row is complete:
-    # row 1 (pattern c0,c1) has one donor for c2 and none for c3, and under
-    # one projection its pooled sample is a single difference, so its
-    # projected bandwidth is degenerate; a tiny fixed bandwidth makes every
-    # log-weight of the other patterns underflow
+def fallback_table():
+    """A table, and two kernels, under which cells fall back and bandwidths degenerate.
+
+    Only rows 0 and 1 observe c0 and c1 together, and no row is complete:
+    row 1 (pattern c0,c1) has one donor for c2 and none for c3, and under
+    one projection its pooled sample is a single difference, so its
+    projected bandwidth is degenerate; a tiny fixed bandwidth makes every
+    log-weight of the other patterns underflow.
+    """
     mask = np.random.default_rng(3).random((40, 4)) >= 0.4
     mask[mask[:, 0] & mask[:, 1], 1] = False
     mask[0] = [True, True, True, False]
     mask[1] = [True, True, False, False]
     table, scales = scaled_table(seed=3, n=40, k=4, missing_rate=None, mask=mask)
-    fallbacks, warned = 0, 0
-    for config in (
+    return table, (
         KernelConfig(bandwidth="fixed", fixed_h=tuple(1e-4 * scales)),
         KernelConfig(projection="resampled", n_projections=1, projection_threshold=1, seed=3),
-    ):
+    )
+
+
+def test_candidate_fits_equal_fit_prime_with_fallbacks_and_warnings():
+    table, kernels = fallback_table()
+    fallbacks, warned = 0, 0
+    for config in kernels:
         got = assert_candidates_match_fit_prime(table, make_spec(), config)
         fallbacks, warned = fallbacks + got[0], warned + got[1]
     assert fallbacks > 0 and warned > 0
+
+
+def assert_one_call_gives_each_structure_its_design(table, spec, config):
+    """``_designs`` for the table's structure and every candidate, under the
+    all-column normalization, against ``assemble_design`` on each structure
+    alone; returns the shared call's counters."""
+    structures = [table.structure, *build_candidates(table.columns)]
+    _, nmap = minmax_normalize(table.with_structure(ModelStructure(table.columns, ())))
+    pattern = build_pattern_index(table)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateSampleWarning)
+        designs = list(_designs(table, pattern, spec, config, nmap, structures))
+        for structure, got in zip(structures, designs, strict=True):
+            want = assemble_design(table.with_structure(structure), pattern, spec, config, nmap)
+            assert np.array_equal(got.matrix, want.matrix)
+            assert got.labels == want.labels
+            assert np.array_equal(got.centering_means, want.centering_means)
+            assert got.imputation == want.imputation
+    assert len({id(d.imputation) for d in designs}) == len(designs)
+    return designs[0].imputation
+
+
+@settings(deadline=None, max_examples=50)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(20, 60),
+    k=st.integers(2, 4),
+    knots=st.integers(0, 1),
+    missing_rate=st.sampled_from([0.0, 0.1, 0.25, 0.4]),
+    data=st.data(),
+)
+def test_one_designs_call_equals_assemble_design_per_structure(
+    seed, n, k, knots, missing_rate, data
+):
+    table, scales = scaled_table(seed, n, k, missing_rate)
+    config = data.draw(configs(scales))
+    assert_one_call_gives_each_structure_its_design(table, make_spec(3, knots), config)
+
+
+@pytest.mark.parametrize("kernel", [0, 1], ids=["tiny-fixed-h", "one-projection"])
+def test_one_designs_call_equals_assemble_design_with_fallbacks(kernel):
+    table, kernels = fallback_table()
+    counters = assert_one_call_gives_each_structure_its_design(table, make_spec(), kernels[kernel])
+    assert counters.no_donor_fallbacks["c3"] > 0
+    if kernel == 0:
+        assert sum(counters.underflow_fallbacks.values()) > 0
+    else:
+        assert counters.degenerate_bandwidths
 
 
 def test_candidate_diagnostics_are_not_shared():
