@@ -2,7 +2,9 @@
 
 Everything here is written from the estimator's definition, one cell or one
 unit at a time, and none of it runs in the package, except ``imputed_weights``,
-which reads the package's donor weights back through ``kernel_impute.impute``.
+which reads the package's donor weights back through ``kernel_impute.impute``,
+and ``per_column_impute``, the package's earlier imputation loop kept as a
+bit-for-bit oracle for the loop that replaced it.
 
 Imputation: a missing cell (i, j) borrows from its donors, the rows that
 observe everything unit i observes plus column j.  A donor's log-weight is
@@ -26,7 +28,7 @@ import numpy as np
 
 from primeplm import kernel_impute
 from primeplm.dataset import build_pattern_index
-from primeplm.kernel_impute import draw_directions, impute
+from primeplm.kernel_impute import ImputationDiagnostics, draw_directions, impute
 from primeplm.spline import basis_matrix
 
 HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -149,6 +151,60 @@ def imputed_weights(table, config, j):
     weights[observed, observed] = 1.0
     impute(table, build_pattern_index(table), config, {j: (weights,)})
     return weights
+
+
+def per_column_impute(table, pattern, config, values, block=1 << 18):
+    """``kernel_impute.impute`` as a loop over (pattern, missing column,
+    chunk): each column's chunk of targets gets its own block of squared
+    distances against that column's donors, at most ``block`` of them.
+    Bandwidths and coordinates come from ``kernel_impute._kernel``, built
+    at the pattern's first column with a donor.  Fills ``values`` in place
+    and returns the fallback counts."""
+    from scipy.spatial.distance import cdist
+
+    diag, mask = ImputationDiagnostics(), table.mask
+    incomplete = [targets for targets in pattern.values() if not mask[targets[0]].all()]
+    arrays = {j: v for j, v in values.items() if not mask[:, j].all()}
+    fallback = {j: [out[mask[:, j]].mean(axis=0) for out in arrays[j]] for j in arrays}
+    xt = np.ascontiguousarray(table.x.T)
+    observed = np.ascontiguousarray(mask.T)
+    column_h = {}
+    for targets in incomplete:
+        seen = mask[targets[0]]
+        missing = [j for j in np.flatnonzero(~seen) if j in arrays]
+        if not missing:
+            continue
+        cond = np.flatnonzero(seen)
+        rows = np.flatnonzero(np.logical_and.reduce(observed[cond], axis=0))
+        u = None
+        for j in missing:
+            d = np.flatnonzero(observed[j, rows])
+            if d.size == 0:
+                for out, mean in zip(arrays[j], fallback[j]):
+                    out[targets] = mean
+                diag.no_donor_fallbacks[table.columns[j]] += targets.size
+                continue
+            if u is None:
+                u, const = kernel_impute._kernel(
+                    table, config, xt, cond, rows, targets, column_h, diag
+                )
+            donors, ud = rows[d], u[d]
+            step = max(1, block // d.size)
+            for start in range(0, targets.size, step):
+                chunk = targets[start : start + step]
+                w = cdist(u[np.searchsorted(rows, chunk)], ud, "sqeuclidean")
+                low = w.min(axis=1)
+                kept = const - low >= -700.0
+                if not kept.all():
+                    w, low = w[kept], low[kept]
+                    diag.underflow_fallbacks[table.columns[j]] += chunk.size - w.shape[0]
+                np.subtract(low[:, None], w, out=w)
+                np.exp(w, out=w)
+                total = w.sum(axis=1)[:, None]
+                for out, mean in zip(arrays[j], fallback[j]):
+                    out[chunk[kept]] = np.matmul(w[:, None, :], out[donors])[:, 0, :] / total
+                    out[chunk[~kept]] = mean
+    return diag
 
 
 def delete_one_residuals(G, y, units):

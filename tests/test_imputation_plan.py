@@ -13,7 +13,7 @@ from numpy.testing import assert_allclose
 
 from conftest import make_random_table
 from primeplm import ModelStructure, ObservationTable, build_pattern_index, make_spec
-from primeplm import kernel_impute
+from primeplm import kernel_impute, prime_fit
 from primeplm.errors import DegenerateSampleWarning
 from primeplm.kernel_impute import ImputationDiagnostics, KernelConfig, _projected_sd, impute
 from primeplm.prime_fit import assemble_design, fit_prime
@@ -22,6 +22,7 @@ from reference_kernel import (
     direct_imputation,
     imputed_weights,
     pattern_directions,
+    per_column_impute,
     pooled_projected_differences,
     silverman,
 )
@@ -262,7 +263,7 @@ def test_degenerate_projected_bandwidth_falls_back_with_pattern_label():
     assert_allclose(values[3][0][2:, 0], [1.5, 1.5])
 
 
-@pytest.mark.parametrize(
+CHUNK_CONFIGS = pytest.mark.parametrize(
     "config",
     [
         KernelConfig(),
@@ -272,7 +273,10 @@ def test_degenerate_projected_bandwidth_falls_back_with_pattern_label():
     ],
     ids=["product", "resampled", "tiny-fixed-h", "mixed-fixed-h"],
 )
-@pytest.mark.parametrize("block", [1, 37])
+
+
+@CHUNK_CONFIGS
+@pytest.mark.parametrize("block", [1, 37, 1000])
 def test_chunked_design_is_bit_identical(monkeypatch, config, block):
     rng = np.random.default_rng(31)
     table = make_random_table(rng, n=300, p=3, q=5, missing_rate=0.15)
@@ -286,6 +290,52 @@ def test_chunked_design_is_bit_identical(monkeypatch, config, block):
     chunked = assemble_design(table, pattern, SPEC, config)
     assert np.array_equal(whole.matrix, chunked.matrix)
     assert whole.imputation == chunked.imputation
+
+
+def no_donor_table(rng):
+    """A random 300-row table whose column c7 is observed only where c0 is
+    missing: a pattern observing c0 has no donor for c7, while its other
+    missing columns have donors."""
+    table = make_random_table(rng, n=300, p=3, q=5, missing_rate=0.15)
+    mask = table.mask.copy()
+    mask[:, 7] &= ~mask[:, 0]
+    x = np.where(mask, table.x, np.nan)
+    return ObservationTable(y=table.y, x=x, mask=mask, columns=table.columns,
+                            structure=table.structure)
+
+
+def pattern_with_both_fallbacks(table, config):
+    """Whether one pattern has a missing column without donors and another
+    whose imputation underflows for some target."""
+    for key, targets in build_pattern_index(table).items():
+        values = {j: (np.array(table.x[:, j : j + 1]),) for j in range(len(table.columns))}
+        diag = impute(table, {key: targets}, config, values)
+        if diag.no_donor_fallbacks and diag.underflow_fallbacks:
+            return True
+    return False
+
+
+@CHUNK_CONFIGS
+@pytest.mark.parametrize("block", [1, 1000, None], ids=["1", "1000", "default"])
+@pytest.mark.parametrize("make_table", [
+    lambda rng: make_random_table(rng, n=300, p=3, q=5, missing_rate=0.15),
+    no_donor_table,
+], ids=["random", "no-donor"])
+def test_impute_matches_per_column_loop_bit_for_bit(monkeypatch, config, block, make_table):
+    # the per-(pattern, column) loop at its own budget is the oracle
+    for seed in (31, 32, 33):
+        table = make_table(np.random.default_rng(seed))
+        pattern = build_pattern_index(table)
+        if make_table is no_donor_table and config.fixed_h == (0.05,) * 8:
+            assert pattern_with_both_fallbacks(table, config)
+        with monkeypatch.context() as patch:
+            patch.setattr(prime_fit, "impute", per_column_impute)
+            want = assemble_design(table, pattern, SPEC, config)
+        if block is not None:
+            monkeypatch.setattr(kernel_impute, "_BLOCK_ELEMENTS", block)
+        got = assemble_design(table, pattern, SPEC, config)
+        assert np.array_equal(want.matrix, got.matrix)
+        assert want.imputation == got.imputation
 
 
 def one_point_table(n_donors):
