@@ -23,6 +23,7 @@ from .dataset import load_csv, load_rows, load_structure, minmax_normalize
 from .errors import (
     InsufficientCompleteCases,
     InvalidConfig,
+    InvalidDegree,
     MalformedCsv,
     PrimeError,
     SingularGram,
@@ -115,6 +116,14 @@ def _kernel_config(args, seed: int) -> KernelConfig:
     )
 
 
+def _flag_spec(args, placement="uniform", data=None):
+    """make_spec from --degree and --knots; a bad flag is a usage error."""
+    try:
+        return make_spec(args.degree, args.knots, placement, data=data)
+    except InvalidDegree as err:
+        raise InvalidConfig(str(err)) from None
+
+
 def _spline_spec(args, table):
     if args.placement == "quantile":
         normalized, _ = minmax_normalize(table)
@@ -125,8 +134,8 @@ def _spline_spec(args, table):
                 for c in normalized.structure.nonlinear
             ]
         ) if normalized.structure.p else np.empty(0)
-        return make_spec(args.degree, args.knots, "quantile", data=pooled)
-    return make_spec(args.degree, args.knots, "uniform")
+        return _flag_spec(args, "quantile", data=pooled)
+    return _flag_spec(args)
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -211,7 +220,7 @@ def cmd_average(args) -> int:
     table = load_csv(
         args.data, None, response=args.response, missing_token=args.missing_token
     )
-    spec = make_spec(args.degree, args.knots, "uniform")
+    spec = _flag_spec(args)
     config = _kernel_config(args, seed)
     avg = fit_prime_ma(table, spec, config)
     print(f"candidate weights (complete cases: {avg.n_complete}"

@@ -6,13 +6,15 @@ C (or, when C is large, by projective resampling onto random directions).
 Spline-basis rows are imputed with the same weights for every basis
 component, so an imputed row still sums to one.
 
-Donors depend only on the missing pattern and the column, so ``impute``
-makes one pass per incomplete pattern: it scales the pattern's
-coordinates once, then for each missing column computes the log-weights,
-targets x donors, from one block of squared distances and applies the
-normalized weights to every array of the column.  Targets are taken in
-chunks, so one block holds at most ``_BLOCK_ELEMENTS`` (2**18, 2 MB)
-log-weights at any n.
+A target's distance to a row depends only on the columns its pattern
+observes, not on the missing column being filled, so ``impute`` makes one
+pass per incomplete pattern: it scales the pattern's coordinates once, then
+for each chunk of targets computes one block of squared distances against
+every row observing those columns.  Each missing column takes its
+log-weights from that block as a C-contiguous copy of its donors' columns,
+no larger than the block, and applies the normalized weights to every array
+of the column.  A chunk holds at most ``_BLOCK_ELEMENTS`` (2**16, 512 KB)
+distances at any n.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ from __future__ import annotations
 import math
 import warnings
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -37,7 +41,7 @@ __all__ = [
 _LOG_2PI = math.log(2.0 * math.pi)
 _UNDERFLOW_LOG = -700.0
 _DIRECTION_TAG = 0x5EEDD12C  # domain separator for per-pattern direction seeds
-_BLOCK_ELEMENTS = 1 << 18  # log-weights (targets x donor rows) held by one block
+_BLOCK_ELEMENTS = 1 << 16  # distances (targets x pattern rows) held by one block
 
 
 @dataclass(frozen=True)
@@ -50,8 +54,9 @@ class KernelConfig:
     projection "resampled" replaces the product kernel by the geometric
     mean of n_projections univariate kernels along random directions
     whenever a unit observes more than projection_threshold covariates.
-    fixed_h (fixed rule only) must be finite and positive, the counts and seed
-    integers, n_projections >= 1 and seed >= 0; anything else raises InvalidConfig.
+    fixed_h (fixed rule only) must be a sequence of finite positive reals (not
+    bools), the counts and seed integers, n_projections >= 1 and seed >= 0;
+    anything else raises InvalidConfig.
     """
 
     bandwidth: str = "silverman"
@@ -69,13 +74,16 @@ class KernelConfig:
         if self.bandwidth not in ("silverman", "fixed"):
             raise InvalidConfig(f"unknown bandwidth rule {self.bandwidth!r}")
         if self.bandwidth == "fixed":
-            if self.fixed_h is None or len(self.fixed_h) == 0:
+            fixed = self.fixed_h
+            if not isinstance(fixed, (Sequence, np.ndarray)) or isinstance(fixed, (str, bytes)):
+                raise InvalidConfig(f"fixed_h must be a sequence of bandwidths, got {fixed!r}")
+            if len(fixed) == 0:
                 raise InvalidConfig("fixed bandwidth rule requires fixed_h")
-            if not all(math.isfinite(h) and h > 0 for h in self.fixed_h):
-                raise InvalidConfig(
-                    f"fixed bandwidths must be finite and positive, got {self.fixed_h}"
-                )
-            object.__setattr__(self, "fixed_h", tuple(float(h) for h in self.fixed_h))
+            if not all(isinstance(h, Real) and not isinstance(h, bool) for h in fixed):
+                raise InvalidConfig(f"fixed bandwidths must be real numbers, got {fixed!r}")
+            if not all(math.isfinite(h) and h > 0 for h in fixed):
+                raise InvalidConfig(f"fixed bandwidths must be finite and positive, got {fixed}")
+            object.__setattr__(self, "fixed_h", tuple(float(h) for h in fixed))
         elif self.fixed_h is not None:
             raise InvalidConfig(f"fixed_h needs the fixed bandwidth rule, got {self.fixed_h!r}")
         if self.projection not in ("none", "resampled"):
@@ -167,7 +175,7 @@ def _kernel(table, config, xt, cond, rows, targets, column_h, diag) -> tuple[np.
     const - |u_t - u_d|^2.  ``xt`` is table.x column-major; column bandwidths
     missing from ``column_h`` are added to it."""
     m = len(cond)
-    z = xt[np.ix_(cond, rows)]
+    z = xt.take(cond, axis=0).take(rows, axis=1)
     if config.projection == "resampled" and m > config.projection_threshold:
         if config.n_projections >= m:
             raise InvalidConfig(
@@ -213,9 +221,10 @@ def impute(
     ``pattern`` is ``build_pattern_index(table)``.  ``values`` maps a column
     position to a tuple of (n, d) arrays whose rows are set wherever column
     j is observed; all of them are filled with the same weights.  For each
-    incomplete pattern and missing column, the log-weights of a chunk of
-    targets against the column's donors come from one block of squared
-    distances between their kernel coordinates.  A missing row becomes the
+    chunk of an incomplete pattern's targets, one block of squared distances
+    between kernel coordinates, against every row observing the pattern's
+    columns, gives the log-weights of each missing column as the block's
+    columns at that column's donors.  A missing row becomes the
     kernel-weighted average of its donors' rows, or the mean of the observed
     rows when there is no donor or its largest absolute log-weight is below
     -700.  Bandwidths are computed once per call, so each degenerate one
@@ -252,22 +261,28 @@ def impute(
         cond = np.flatnonzero(seen)
         # rows observing every column of cond, targets included
         rows = np.flatnonzero(np.logical_and.reduce(observed[cond], axis=0))
-        u = None  # built at the pattern's first column with a donor
+        donors = {}  # column -> (donor positions among rows, donor rows)
         for j in missing:
             d = np.flatnonzero(observed[j, rows])
-            if d.size == 0:
-                for out, mean in zip(arrays[j], fallback[j]):
-                    out[targets] = mean
-                diag.no_donor_fallbacks[table.columns[j]] += targets.size
+            if d.size:
+                donors[j] = d, rows[d]
                 continue
-            if u is None:
-                u, const = _kernel(table, config, xt, cond, rows, targets, column_h, diag)
-            donors, ud = rows[d], u[d]
-            step = max(1, _BLOCK_ELEMENTS // d.size)
-            for start in range(0, targets.size, step):
-                chunk = targets[start : start + step]
-                # each pair is its own sum, so chunking never changes a value
-                w = cdist(u[np.searchsorted(rows, chunk)], ud, "sqeuclidean")
+            for out, mean in zip(arrays[j], fallback[j]):
+                out[targets] = mean
+            diag.no_donor_fallbacks[table.columns[j]] += targets.size
+        if not donors:
+            continue  # no kernel, so no bandwidth is computed or warned about
+        u, const = _kernel(table, config, xt, cond, rows, targets, column_h, diag)
+        at = np.searchsorted(rows, targets)
+        step = max(1, _BLOCK_ELEMENTS // rows.size)
+        for start in range(0, targets.size, step):
+            chunk = targets[start : start + step]
+            # each pair is its own sum, so chunking never changes a value
+            block = cdist(u[at[start : start + step]], u, "sqeuclidean")
+            for j, (d, rows_d) in donors.items():
+                # np.take keeps C order, so the row sums match a block of
+                # the donors alone bit for bit; block[:, d] would be F order
+                w = np.take(block, d, axis=1)
                 low = w.min(axis=1)
                 kept = const - low >= _UNDERFLOW_LOG
                 if not kept.all():
@@ -278,6 +293,6 @@ def impute(
                 total = w.sum(axis=1)[:, None]
                 for out, mean in zip(arrays[j], fallback[j]):
                     # one product per target row, so chunking never changes a value
-                    out[chunk[kept]] = np.matmul(w[:, None, :], out[donors])[:, 0, :] / total
+                    out[chunk[kept]] = np.matmul(w[:, None, :], out[rows_d])[:, 0, :] / total
                     out[chunk[~kept]] = mean
     return diag

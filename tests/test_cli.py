@@ -110,6 +110,24 @@ def test_bad_bandwidth_and_projection_flags(tmp_path, capsys):
     assert not (tmp_path / "f.json").exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["fit", "--structure", STRUCTURE, "--placement", "uniform"],
+    ["fit", "--structure", STRUCTURE, "--placement", "quantile"],
+    ["average"],
+], ids=["fit-uniform", "fit-quantile", "average"])
+@pytest.mark.parametrize("flag, message", [
+    (["--degree", "0"], "degree must be >= 1, got 0"),
+    (["--knots", "-1"], "interior knot count must be >= 0, got -1"),
+], ids=["degree", "knots"])
+def test_bad_spline_flags_are_usage_errors(tmp_path, capsys, command, flag, message):
+    # a fit file's bad spline block is a data error instead (BadFitFile, exit 3)
+    out = tmp_path / "out.json"
+    output = ["--fit-out" if command[0] == "fit" else "--out", str(out)]
+    assert main(command + output + ["--data", TOY_MISSING, "--seed", "1", *flag]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_fixed_bandwidth_wrong_length(tmp_path, capsys):
     rc = main([
         "fit", "--data", TOY_MISSING, "--structure", STRUCTURE,

@@ -338,6 +338,78 @@ def test_impute_matches_per_column_loop_bit_for_bit(monkeypatch, config, block, 
         assert want.imputation == got.imputation
 
 
+class CdistCalls(list):
+    """The shapes of the distance blocks impute asks scipy for."""
+
+    def __init__(self, monkeypatch):
+        super().__init__()
+        from scipy.spatial import distance
+
+        real = distance.cdist
+
+        def cdist(a, b, metric):
+            block = real(a, b, metric)
+            self.append(block.shape)
+            return block
+
+        monkeypatch.setattr(distance, "cdist", cdist)
+
+
+@CHUNK_CONFIGS
+@pytest.mark.parametrize("block", [1, 1000, None], ids=["1", "1000", "default"])
+def test_one_distance_block_per_pattern_chunk(monkeypatch, config, block):
+    table = no_donor_table(np.random.default_rng(31))
+    pattern = build_pattern_index(table)
+    if block is not None:
+        monkeypatch.setattr(kernel_impute, "_BLOCK_ELEMENTS", block)
+    budget = kernel_impute._BLOCK_ELEMENTS
+    calls = CdistCalls(monkeypatch)
+    assemble_design(table, pattern, SPEC, config)
+    want, columns = [], 0
+    for targets in pattern.values():
+        cond, rows = pattern_rows(table, targets)
+        with_donors = [j for j in np.flatnonzero(~table.mask[targets[0]])
+                       if table.mask[rows, j].any()]
+        if not with_donors:
+            continue
+        step = max(1, budget // rows.size)
+        chunks = [min(step, targets.size - at) for at in range(0, targets.size, step)]
+        want += [(size, rows.size) for size in chunks]
+        columns += len(with_donors) * len(chunks)
+    assert sorted(calls) == sorted(want)
+    assert columns > len(calls)  # the patterns' columns share their blocks
+    assert all(t * r <= max(budget, r) for t, r in calls)
+    if block == 1000:
+        assert any(1 < t < step for t, _ in calls)  # multi-target and partial chunks
+
+
+def test_pattern_without_donors_builds_no_kernel(monkeypatch):
+    # rows 0-2 observe only the constant column a, whose bandwidth is
+    # degenerate, and no row observes a with b or c; rows 7-9 observe only c
+    # and borrow b from rows 3-6
+    nan = np.nan
+    x = np.array([
+        [0.5, nan, nan], [0.5, nan, nan], [0.5, nan, nan],
+        [nan, 1.0, 0.1], [nan, 2.0, 0.4], [nan, 3.0, 0.2], [nan, 4.0, 0.9],
+        [nan, nan, 0.3], [nan, nan, 0.5], [nan, nan, 0.7],
+    ])
+    cols = ("a", "b", "c")
+    table = ObservationTable(
+        y=np.zeros(len(x)), x=x, mask=~np.isnan(x), columns=cols,
+        structure=ModelStructure(nonlinear=(), linear=cols),
+    )
+    calls = CdistCalls(monkeypatch)
+    values = {j: (np.array(x[:, j : j + 1]),) for j in range(3)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DegenerateSampleWarning)
+        diagnostics = impute(table, build_pattern_index(table), KernelConfig(), values)
+    assert calls == [(3, 7)]  # the pattern observing c, against rows 3-9
+    assert diagnostics.no_donor_fallbacks == Counter({"a": 7, "b": 3, "c": 3})
+    assert not diagnostics.degenerate_bandwidths
+    for j, at in ((0, slice(3, None)), (1, slice(0, 3)), (2, slice(0, 3))):
+        assert_allclose(values[j][0][at, 0], np.nanmean(x[:, j]))
+
+
 def one_point_table(n_donors):
     """Columns a, b, c at 0.5 on every row, d observed as 1..n_donors on all
     rows but the last two: both the column bandwidths of a, b, c and the

@@ -337,6 +337,17 @@ def test_kernel_config_validation():
     for h in (math.nan, math.inf):
         with pytest.raises(InvalidConfig, match="finite and positive"):
             KernelConfig(bandwidth="fixed", fixed_h=(0.5, h))
+    # a non-sequence, or a non-real entry, is a configuration error too
+    for fixed_h in (0.5, "0.5", None):
+        with pytest.raises(InvalidConfig, match="fixed_h must be a sequence|requires fixed_h"):
+            KernelConfig(bandwidth="fixed", fixed_h=fixed_h)
+    for fixed_h in (("abc",), (None,), (True, 0.5), [0.5, 1j]):
+        with pytest.raises(InvalidConfig, match="must be real numbers"):
+            KernelConfig(bandwidth="fixed", fixed_h=fixed_h)
+    for fixed_h in ([0.5, 1], np.array([0.5, 2.0]), (np.float32(0.5), np.int64(3))):
+        assert KernelConfig(bandwidth="fixed", fixed_h=fixed_h).fixed_h == tuple(
+            float(h) for h in fixed_h
+        )
     for projection in ("none", "resampled"):
         with pytest.raises(InvalidConfig, match="seed"):
             KernelConfig(projection=projection, seed=-1)
