@@ -1,5 +1,6 @@
 """kernel_impute.impute against the direct per-cell Nadaraya-Watson formula
-of reference_kernel, on hypothesis tables and on hand-built edge cases."""
+of reference_kernel, on hypothesis tables and on hand-built edge cases, and
+bit for bit against reference_kernel's per-(pattern, column) loop."""
 
 import warnings
 from collections import Counter
@@ -365,7 +366,7 @@ def test_one_distance_block_per_pattern_chunk(monkeypatch, config, block):
     budget = kernel_impute._BLOCK_ELEMENTS
     calls = CdistCalls(monkeypatch)
     assemble_design(table, pattern, SPEC, config)
-    want, columns = [], 0
+    want, columns, partial = [], 0, False
     for targets in pattern.values():
         cond, rows = pattern_rows(table, targets)
         with_donors = [j for j in np.flatnonzero(~table.mask[targets[0]])
@@ -376,11 +377,12 @@ def test_one_distance_block_per_pattern_chunk(monkeypatch, config, block):
         chunks = [min(step, targets.size - at) for at in range(0, targets.size, step)]
         want += [(size, rows.size) for size in chunks]
         columns += len(with_donors) * len(chunks)
+        partial |= 1 < step and 1 < len(chunks) and chunks[-1] < step
     assert sorted(calls) == sorted(want)
     assert columns > len(calls)  # the patterns' columns share their blocks
     assert all(t * r <= max(budget, r) for t, r in calls)
-    if block == 1000:
-        assert any(1 < t < step for t, _ in calls)  # multi-target and partial chunks
+    # multi-target chunks, one pattern's last one partial
+    assert partial == (block == 1000)
 
 
 def test_pattern_without_donors_builds_no_kernel(monkeypatch):
