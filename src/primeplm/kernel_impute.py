@@ -238,8 +238,9 @@ def impute(
     incomplete = [targets for targets in pattern.values() if not mask[targets[0]].all()]
     if not incomplete:
         return diag  # every row complete: nothing to impute
-    # imported here: scipy.spatial takes ~0.2 s and ~5 MB to load, which
-    # predict and complete tables need not pay
+    # imported here: scipy.spatial takes ~0.4-0.6 s and ~35 MB to load, as it
+    # pulls in scipy.linalg and scipy.special, which predict and complete
+    # tables need not pay
     from scipy.spatial.distance import cdist
 
     arrays = {j: v for j, v in values.items() if not mask[:, j].all()}

@@ -22,7 +22,6 @@ from dataclasses import asdict, dataclass, field, fields
 from itertools import chain
 
 import numpy as np
-import scipy.linalg
 
 from .dataset import (
     ModelStructure,
@@ -155,17 +154,23 @@ def solve_least_squares(
     y: np.ndarray,
     diagnostics: FitDiagnostics | None = None,
 ) -> np.ndarray:
-    """Minimum-norm least squares via SVD with a fixed singular cutoff."""
+    """Minimum-norm least squares via SVD: numpy's ``lstsq`` (LAPACK
+    ``gelsd``), with singular values below ``_RCOND`` times the largest
+    treated as zero."""
     matrix = np.asarray(matrix, dtype=float)
     y = np.asarray(y, dtype=float)
     n, ncols = matrix.shape
     if n < ncols:
         raise Underdetermined(f"{n} rows for {ncols} design columns")
-    coef, _, rank, sv = scipy.linalg.lstsq(matrix, y, cond=_RCOND)
+    # LAPACK would print to stderr and fail to converge on these instead
+    if not (np.isfinite(matrix).all() and np.isfinite(y).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    coef, _, rank, sv = np.linalg.lstsq(matrix, y, rcond=_RCOND)
+    rank = int(rank)  # numpy's is an np.int32, which json cannot write
     if diagnostics is not None:
         diagnostics.n_rows = n
         diagnostics.n_columns = ncols
-        diagnostics.rank = int(rank)
+        diagnostics.rank = rank
         diagnostics.rank_deficient = rank < ncols
         diagnostics.condition_estimate = float(sv[0] / sv[rank - 1]) if rank >= 1 else float("inf")
     return coef

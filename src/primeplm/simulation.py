@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import ndtr
 
 from .dataset import ModelStructure, ObservationTable
 from .errors import InvalidConfig, PrimeError
@@ -209,6 +208,8 @@ def apply_missing_scenario1(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Deletion probabilities driven by the regression error."""
+    from scipy.special import ndtr  # only simulated missingness needs scipy.special
+
     a, b, c, d, e = mr_params
     n = x.shape[0]
     probs = [
@@ -226,6 +227,8 @@ def apply_missing_scenario2(
 ) -> np.ndarray:
     """Deletion probabilities driven by covariates; the third-group
     probability uses the latent x3 draw even when x3 itself is deleted."""
+    from scipy.special import ndtr
+
     a, b, c, d, e = mr_params
     n = x.shape[0]
     probs = [

@@ -46,17 +46,33 @@ def test_public_api_is_pinned():
     assert sorted(primeplm.__all__) == PUBLIC_API
 
 
-# each of these takes a noticeable share of the package's import time and
-# memory; code that needs one imports it where it is used
-HEAVY = ("scipy.spatial", "scipy.interpolate", "scipy.optimize", "scipy.sparse")
+# scipy takes most of the package's import time: code that needs one of its
+# modules imports it where it is used, so predict, report and fits on
+# complete tables never load it
+PROBE = """
+import sys
+import numpy as np
+import primeplm, primeplm.cli
+print(" ".join(sorted(sys.modules)))
+rng = np.random.default_rng(0)
+x, eps = rng.normal(size=(50, 8)), rng.normal(size=50)
+masks = [
+    primeplm.apply_missing_scenario1(x, eps, primeplm.MR_PARAMS_60, rng),
+    primeplm.apply_missing_scenario2(x, primeplm.MR_PARAMS_60, rng),
+]
+assert all(m.shape == x.shape and m.dtype == bool for m in masks)
+print(" ".join(sorted(sys.modules)))
+"""
 
 
 def test_import_loads_no_heavy_scipy_module():
     src = str(pathlib.Path(primeplm.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, primeplm; print(' '.join(sorted(sys.modules)))"
-    loaded = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    ).stdout.split()
-    assert "primeplm" in loaded
-    assert [m for m in loaded if m.startswith(HEAVY)] == []
+    imported, drawn = subprocess.run(
+        [sys.executable, "-c", PROBE], env=env, capture_output=True, text=True, check=True
+    ).stdout.splitlines()
+    assert {"primeplm", "primeplm.cli"} <= set(imported.split())
+    assert [m for m in imported.split() if m.startswith("scipy")] == []
+    # simulated missingness loads scipy.special for ndtr, and nothing spatial
+    assert "scipy.special" in drawn.split()
+    assert [m for m in drawn.split() if m.startswith("scipy.spatial")] == []

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -178,6 +179,29 @@ def test_solve_matches_normal_equations():
         got = solve_least_squares(A, y)
         expected = np.linalg.solve(A.T @ A, A.T @ y)
         assert_allclose(got, expected, atol=1e-8)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["matrix", "y"])
+def test_solve_rejects_non_finite_input_quietly(capfd, where, bad):
+    rng = np.random.default_rng(4)
+    args = {"matrix": rng.normal(size=(20, 3)), "y": rng.normal(size=20)}
+    args[where].flat[5] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        solve_least_squares(args["matrix"], args["y"], FitDiagnostics())
+    assert capfd.readouterr() == ("", "")
+
+
+def test_solve_diagnostics_are_python_scalars():
+    # numpy's lstsq reports its rank as an np.int32; fit files are json
+    rng = np.random.default_rng(5)
+    c = rng.normal(size=(30, 2))
+    for matrix in (c, np.column_stack([c, c[:, 0]])):
+        diags = FitDiagnostics()
+        solve_least_squares(matrix, rng.normal(size=30), diags)
+        assert type(diags.rank) is int and type(diags.rank_deficient) is bool
+        assert type(diags.condition_estimate) is float
+        json.dumps(dataclasses.asdict(diags))
 
 
 def test_underdetermined_raises():
