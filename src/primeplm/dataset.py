@@ -146,10 +146,16 @@ class ObservationTable:
 def build_pattern_index(table: ObservationTable) -> dict[bytes, np.ndarray]:
     """Rows grouped by observation pattern: each distinct mask row (its
     bytes) maps to the ascending row indices sharing it, in order of first
-    occurrence."""
+    occurrence.  A complete table is one group; otherwise every row's key is
+    read from one view of the mask as rows of raw bytes."""
+    n, d = table.mask.shape
+    if n and table.mask.all():
+        return {table.mask[0].tobytes(): _frozen(np.arange(n))}
+    # the view needs C order, and a table keeps its mask's order
+    keys = np.ascontiguousarray(table.mask).view(np.dtype((np.void, d))).ravel().tolist()
     groups: dict[bytes, list[int]] = {}
-    for i, row in enumerate(table.mask):
-        groups.setdefault(row.tobytes(), []).append(i)
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
     return {k: _frozen(np.array(v, dtype=int)) for k, v in groups.items()}
 
 
@@ -174,23 +180,33 @@ class NormalizationMap:
         return out
 
 
-def minmax_normalize(table: ObservationTable) -> tuple[ObservationTable, NormalizationMap]:
-    """Rescale observed nonlinear columns onto [0, 1]; linear columns stay raw."""
-    x = np.array(table.x, copy=True)
+def _observed_ranges(table: ObservationTable, names) -> NormalizationMap:
+    """Min and max of the observed values of each column in ``names``; a
+    column needs two distinct ones."""
     ranges: dict[str, tuple[float, float]] = {}
-    for name in table.structure.nonlinear:
+    for name in names:
         pos = table.position(name)
-        observed = table.mask[:, pos]
-        vals = x[observed, pos]
-        if np.unique(vals).size < 2:
+        vals = table.x[table.mask[:, pos], pos]
+        # a never-observed column has no min; NaN fails the test below
+        lo, hi = (float(vals.min()), float(vals.max())) if vals.size else (np.nan, np.nan)
+        if not hi > lo:
             raise DegenerateColumn(
                 f"nonlinear column {name!r} has fewer than two distinct observed values"
             )
-        lo, hi = float(vals.min()), float(vals.max())
-        x[observed, pos] = (vals - lo) / (hi - lo)
         ranges[name] = (lo, hi)
+    return NormalizationMap(ranges)
+
+
+def minmax_normalize(table: ObservationTable) -> tuple[ObservationTable, NormalizationMap]:
+    """Rescale observed nonlinear columns onto [0, 1]; linear columns stay raw."""
+    nmap = _observed_ranges(table, table.structure.nonlinear)
+    x = np.array(table.x, copy=True)
+    for name, (lo, hi) in nmap.ranges.items():
+        pos = table.position(name)
+        observed = table.mask[:, pos]
+        x[observed, pos] = (x[observed, pos] - lo) / (hi - lo)
     out = ObservationTable(table.y, x, table.mask, table.columns, table.structure)
-    return out, NormalizationMap(ranges)
+    return out, nmap
 
 
 def load_structure(path: str | os.PathLike) -> tuple[ModelStructure, str]:
@@ -286,12 +302,30 @@ def _locate(fh, path, header, at, optional, missing_token, missing_error) -> Non
         raise MalformedCsv(f"{path}:{reader.line_num}: {err}") from None
 
 
+def _loadtxt(fh, dtype, converters) -> tuple[np.ndarray, bool]:
+    """np.loadtxt over the rest of ``fh``: its rows, and whether it skipped a
+    blank line."""
+    blank: list = []
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        rows = np.loadtxt(
+            _noting_blank(fh, blank), dtype=dtype, delimiter=",", comments=None,
+            quotechar='"', ndmin=1, converters=converters,
+        )
+    return rows, bool(blank)
+
+
 def _read_columns(fh, path, header, columns, optional, missing_token, missing_error):
     """Values and observed mask of ``columns``, in that order, from the rows
-    after the header, by one np.loadtxt pass.
+    after the header.
 
     A column flagged in ``optional`` may hold missing cells; a missing cell
-    anywhere else raises ``missing_error(location)``.  When the pass fails,
+    anywhere else raises ``missing_error(location)``.  When some column is
+    optional, np.loadtxt first reads the rows with no converter; if that pass
+    succeeds, skips no blank line and finds no value a numeric-looking
+    missing token reads as, no cell is missing.  Otherwise the rows are read
+    again, the optional columns through a missing-cell converter, so a file
+    whose first hole is late pays two full passes.  When the last pass fails,
     or leaves a doubt it cannot settle, the file is read again with
     csv.reader to raise the first bad row or cell at its line.
     """
@@ -302,20 +336,25 @@ def _read_columns(fh, path, header, columns, optional, missing_token, missing_er
     # the other columns are read as one-character strings: never parsed, but
     # every row still has to be as wide as the header
     dtype = np.dtype([(f"c{j}", "f8" if j in at else "U1") for j in range(len(header))])
+    if any(optional):
+        try:
+            rows, blank = _loadtxt(fh, dtype, None)
+        except ValueError:
+            pass
+        else:
+            values = np.column_stack([rows[f"c{j}"] for j in at])
+            if not (blank or _may_hold_token(values, missing_token)):
+                return values, np.ones(values.shape, dtype=bool)
+        fh.seek(0)
+        _read_header(fh, path)
 
     def cell(text):
         stripped = text.strip()
         return _MISSING if stripped == "" or stripped == missing_token else _number(stripped)
 
     converters = {j: cell for j, may_miss in zip(at, optional) if may_miss}
-    blank: list = []
     try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            rows = np.loadtxt(
-                _noting_blank(fh, blank), dtype=dtype, delimiter=",", comments=None,
-                quotechar='"', ndmin=1, converters=converters,
-            )
+        rows, blank = _loadtxt(fh, dtype, converters)
     except ValueError as err:
         _locate(fh, path, header, at, optional, missing_token, missing_error)
         raise MalformedCsv(f"{path}: {err}") from None

@@ -23,9 +23,9 @@ import numpy as np
 from .dataset import (
     ModelStructure,
     ObservationTable,
+    _observed_ranges,
     build_pattern_index,
     complete_case_subset,
-    minmax_normalize,
 )
 from .errors import (
     DegenerateColumn,
@@ -88,9 +88,13 @@ def cc_design(
     lo, hi = float(vals.min()), float(vals.max())
     if not hi > lo:
         raise DegenerateColumn(f"candidate column {name!r} is constant on the complete cases")
-    block = basis_matrix(spec, (vals - lo) / (hi - lo))
-    others = [table.x[rows, table.position(c)][:, None] for c in candidate.linear]
-    return np.hstack([block, *others])
+    # filled in place: no stacked temporaries per candidate
+    L = spec.basis_size
+    G = np.empty((rows.size, L + len(candidate.linear)))
+    G[:, :L] = basis_matrix(spec, (vals - lo) / (hi - lo))
+    for k, c in enumerate(candidate.linear, start=L):
+        G[:, k] = table.x[rows, table.position(c)]
+    return G
 
 
 def _residuals_and_leverages(G: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -103,7 +107,9 @@ def _residuals_and_leverages(G: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, 
             f"candidate cross-product matrix is numerically singular "
             f"(diag ratio {d.min() / d.max():.2e})"
         )
-    return y - q @ (q.T @ y), (q * q).sum(axis=1)
+    resid = y - q @ (q.T @ y)
+    # q is not read again, so it is squared in place
+    return resid, np.square(q, out=q).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -224,7 +230,7 @@ def fit_prime_ma(
     spec = spec or make_spec()
     config = config or KernelConfig()
     candidates = build_candidates(table.columns)
-    nmap = minmax_normalize(table.with_structure(ModelStructure(table.columns, ())))[1]
+    nmap = _observed_ranges(table, table.columns)
     designs = _designs(table, build_pattern_index(table), spec, config, nmap, candidates)
     rows = complete_case_subset(table)
     # each design is solved, and released, before the next is stacked

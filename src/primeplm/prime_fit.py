@@ -27,9 +27,9 @@ from .dataset import (
     ModelStructure,
     NormalizationMap,
     ObservationTable,
+    _observed_ranges,
     build_pattern_index,
     complete_case_subset,
-    minmax_normalize,
 )
 from .errors import (
     BadFitFile,
@@ -126,8 +126,14 @@ def _designs(table, pattern, spec, config, normalization, structures) -> Iterato
 
     def design(structure, nl, lin) -> DesignMatrix:
         block_means = np.array([means[pos] for pos in nl]).reshape(-1, L)
-        blocks = [basis[pos] - m for pos, m in zip(nl, block_means)]
-        matrix = np.hstack([np.ones((table.n, 1)), *blocks, *(values[pos] for pos in lin)])
+        # each block is written into the one matrix, with no stacked temporaries
+        end = 1 + len(nl) * L
+        matrix = np.empty((table.n, end + len(lin)))
+        matrix[:, 0] = 1.0
+        for k, pos in enumerate(nl):
+            np.subtract(basis[pos], block_means[k], out=matrix[:, 1 + k * L : 1 + (k + 1) * L])
+        for k, pos in enumerate(lin):
+            matrix[:, end + k] = values[pos][:, 0]
         labels = [f"{name}:b{l + 1}" for name in structure.nonlinear for l in range(L)]
         labels = ("intercept", *labels, *structure.linear)
         return DesignMatrix(matrix, labels, block_means, copy.deepcopy(imputation))
@@ -181,7 +187,7 @@ def _fit_pipeline(
     spec: SplineSpec,
     config: KernelConfig,
 ) -> PrimeFit:
-    _, nmap = minmax_normalize(table)
+    nmap = _observed_ranges(table, table.structure.nonlinear)
     design = assemble_design(table, build_pattern_index(table), spec, config, nmap)
     return _solve(table, spec, config, nmap, design, int(complete_case_subset(table).size))
 

@@ -10,10 +10,10 @@ Imputation: a missing cell (i, j) borrows from its donors, the rows that
 observe everything unit i observes plus column j.  A donor's log-weight is
 the sum over observed columns c of log K(diff_c / h_c) - log h_c (product
 kernel), or the mean over random directions v of log K(v.diff / h) - log h
-(resampled projection, with h from Silverman's rule on the pooled projected
-target-row differences of the pattern).  A cell with no donor, or whose
-largest log-weight is below -700, takes the mean of the observed values or
-basis rows of its column.
+(resampled projection, with h from Silverman's rule on the pooled
+differences between the projected rows and the projected target rows of the
+pattern).  A cell with no donor, or whose largest log-weight is below -700,
+takes the mean of the observed values or basis rows of its column.
 
 Leave-one-out: the residual of unit i is y_i minus its prediction from the
 least squares fit on every other unit.
@@ -62,14 +62,20 @@ def silverman(values, n):
 
 
 def pooled_projected_differences(x, mask, i, directions):
-    """(x_e - x_t) . v over every unit t sharing unit i's pattern, every other
-    row e observing that pattern's columns, and every direction v."""
+    """v.x_e - v.x_t over every unit t sharing unit i's pattern, every other
+    row e observing that pattern's columns, and every direction v.  Each row
+    is projected first, its products summed column by column as the kernel
+    documents, so equal rows project to equal values: a tiny coordinate next
+    to a large one can vanish from v.x_e yet survive in (x_e - x_t).v."""
     cond = np.flatnonzero(mask[i])
     targets = np.flatnonzero((mask == mask[i]).all(axis=1))
     rows = np.flatnonzero(mask[:, cond].all(axis=1))
-    diffs = [
-        (x[e, cond] - x[t, cond]) @ directions.T for t in targets for e in rows if e != t
-    ]
+    proj = {}
+    for r in rows:
+        proj[r] = directions[:, 0] * x[r, cond[0]]
+        for k in range(1, cond.size):
+            proj[r] = proj[r] + directions[:, k] * x[r, cond[k]]
+    diffs = [proj[e] - proj[t] for t in targets for e in rows if e != t]
     return np.concatenate(diffs) if diffs else np.empty(0)
 
 

@@ -197,3 +197,90 @@ def test_cells_python_float_takes_but_loadtxt_does_not(tmp_path, capsys, cell):
     rc = main(["fit", "--data", str(path), "--structure", str(structure),
                "--fit-out", str(tmp_path / "f.json"), "--seed", "1"])
     assert (rc, capsys.readouterr().err) == (3, f"error: {text}\n")
+
+
+# -- numpy-only first pass ------------------------------------------------------
+# load_csv first reads a file by np.loadtxt alone and keeps that result only
+# when no cell can have been missing; every other file is read again with the
+# missing-cell converter.  Both paths must read as the reference reader does.
+
+
+def complete_lines(n=300, seed=3):
+    """The lines of a complete y,a,b,c file of ``n`` random rows."""
+    values = np.random.default_rng(seed).normal(size=(n, 4))
+    return ["y,a,b,c"] + [",".join(map(repr, row)) for row in values.tolist()]
+
+
+def edited(lines, row, text):
+    """``lines`` with data row ``row`` (negative counts from the end) set to ``text``."""
+    lines = list(lines)
+    lines[row if row < 0 else row + 1] = text
+    return lines
+
+
+LATE = {
+    "late hole": (edited(complete_lines(), -1, "0.5,0.25,NA,1.0"), "NA", False),
+    "late empty cell": (edited(complete_lines(), -1, "0.5,0.25,,1.0"), "NA", False),
+    "numeric token in a covariate only": (
+        edited(complete_lines(), 200, "0.5,-999,0.5,1.0"), "-999", False),
+    "numeric token observed as a near value": (
+        edited(complete_lines(), 200, "0.5,-999.0,0.5,1.0"), "-999", False),
+    "nan token": (edited(complete_lines(), 100, "0.5,nan,0.5,1.0"), "nan", False),
+    "blank line": (edited(complete_lines(), 150, ""), "NA", False),
+    "nan cell in a complete file": (edited(complete_lines(), 120, "0.5,0.1,nan,1.0"), "NA", False),
+    "malformed last cell": (edited(complete_lines(), -1, "0.5,0.1,0.2,1.0x"), "NA", False),
+    "short last row": (edited(complete_lines(), -1, "0.5,0.1,0.2"), "NA", False),
+    "late missing response, dropped": (edited(complete_lines(), -2, "NA,0.1,0.2,0.3"), "NA", True),
+    "late missing response, kept": (edited(complete_lines(), -2, "NA,0.1,0.2,0.3"), "NA", False),
+    "response equals the numeric token": (
+        edited(complete_lines(), -1, "-999,0.1,0.2,0.3"), "-999", True),
+    "complete": (complete_lines(), "NA", False),
+    "complete, numeric token absent": (complete_lines(), "-999", False),
+}
+
+
+@pytest.mark.parametrize("case", LATE, ids=list(LATE))
+def test_late_cells_read_as_before(tmp_path, case):
+    lines, token, drop = LATE[case]
+    path = tmp_path / "t.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    kwargs = dict(missing_token=token, drop_missing_response=drop)
+    want = outcome(reference_load_csv, path, STRUCTURE, **kwargs)
+    assert outcome(load_csv, path, STRUCTURE, **kwargs) == want
+    assert outcome(load_rows, path, COLUMNS, token) == outcome(
+        reference_read_rows, path, COLUMNS, token
+    )
+
+
+def test_late_missing_response_cli(tmp_path, capsys):
+    path = tmp_path / "t.csv"
+    path.write_text("\n".join(edited(complete_lines(), -2, "NA,0.1,0.2,0.3")) + "\n")
+    structure = tmp_path / "s.txt"
+    structure.write_text("response = y\nnonlinear = a\nlinear = b, c\n")
+    argv = ["fit", "--data", str(path), "--structure", str(structure),
+            "--fit-out", str(tmp_path / "f.json"), "--seed", "1"]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"error: {path}:300: response value is missing\n"
+    assert main(argv + ["--drop-missing-response"]) == 0
+
+
+@pytest.mark.parametrize("case, passes", [("complete", 1), ("late hole", 2), ("nan token", 2)])
+def test_loadtxt_passes(tmp_path, monkeypatch, case, passes):
+    lines, token, _ = LATE[case]
+    path = tmp_path / "t.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    calls = []
+    loadtxt = np.loadtxt
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("converters"))
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counted)
+    load_csv(path, STRUCTURE, missing_token=token)
+    # a complete file is read once, by numpy alone
+    assert len(calls) == passes and calls[0] is None
+    calls.clear()
+    if passes == 1:
+        load_rows(path, COLUMNS, token)
+        assert len(calls) == 1

@@ -16,6 +16,7 @@ from primeplm import (
     minmax_normalize,
     write_csv,
 )
+from primeplm.dataset import _observed_ranges
 from primeplm.errors import (
     DegenerateColumn,
     MalformedCsv,
@@ -108,6 +109,63 @@ def test_pattern_partition_property():
             firsts.append(rows[0])
         assert (seen == 1).all()
         assert firsts == sorted(firsts)
+
+
+def row_loop_index(mask):
+    """The pattern index as one Python step per row, mask row bytes as keys."""
+    groups = {}
+    for i, row in enumerate(mask):
+        groups.setdefault(row.tobytes(), []).append(i)
+    return {k: np.array(v, dtype=int) for k, v in groups.items()}
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("missing_rate", [0.0, 0.3])
+@pytest.mark.parametrize("n", [0, 1, 30])
+def test_pattern_index_equals_the_row_loop(n, missing_rate, order):
+    rng = np.random.default_rng(n)
+    mask = rng.uniform(size=(n, 5)) >= missing_rate
+    x = np.where(mask, rng.normal(size=(n, 5)), np.nan)
+    table = ObservationTable(
+        np.zeros(n), np.asarray(x, order=order), np.asarray(mask, order=order),
+        tuple("abcde"), ModelStructure(nonlinear=("a",), linear=tuple("bcde")),
+    )
+    if order == "F" and n > 1:
+        # the table keeps its mask's order, which a raw view cannot read
+        assert not table.mask.flags.c_contiguous
+    got, want = build_pattern_index(table), row_loop_index(mask)
+    assert list(got) == list(want)
+    for key in want:
+        assert got[key].dtype == want[key].dtype
+        assert_array_equal(got[key], want[key])
+        assert not got[key].flags.writeable
+    if n and missing_rate == 0.0:
+        assert len(got) == 1
+
+
+DEGENERATE = {
+    "one distinct value": ([0.7, 0.7, 0.7, 0.7], [True] * 4),
+    "signed zeros": ([-0.0, 0.0, -0.0, 0.0], [True] * 4),
+    "never observed": ([np.nan] * 4, [False] * 4),
+}
+
+
+@pytest.mark.parametrize("case", DEGENERATE, ids=list(DEGENERATE))
+def test_degenerate_ranges_raise_as_before(case):
+    values, observed = DEGENERATE[case]
+    mask = np.column_stack([observed, [True] * 4])
+    t = ObservationTable(
+        np.zeros(4), np.column_stack([values, np.arange(4.0)]), mask, ("a", "b"),
+        ModelStructure(nonlinear=("a",), linear=("b",)),
+    )
+    text = "nonlinear column 'a' has fewer than two distinct observed values"
+    with pytest.raises(DegenerateColumn) as err:
+        minmax_normalize(t)
+    assert str(err.value) == text
+    with pytest.raises(DegenerateColumn) as err:
+        _observed_ranges(t, ("a", "b"))
+    assert str(err.value) == text
+    assert _observed_ranges(t, ("b",)).ranges == {"b": (0.0, 3.0)}
 
 
 def test_complete_case_subset_empty():

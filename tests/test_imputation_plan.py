@@ -108,11 +108,7 @@ def assemble_with_warnings(table, config, spec):
     return design, messages
 
 
-@settings(deadline=None, max_examples=150)
-@given(data=st.data())
-def test_assemble_design_matches_direct_formula(data):
-    table = data.draw(tables())
-    config = data.draw(configs(len(table.columns)))
+def check_direct_formula(table, config):
     design, messages = assemble_with_warnings(table, config, SPEC)
     want, no_donor, underflow, degenerate = direct_imputation(table, config, SPEC)
 
@@ -127,6 +123,28 @@ def test_assemble_design_matches_direct_formula(data):
     for label in degenerate:
         needle = label if label.startswith("pattern:") else repr(label)
         assert sum(needle + ", falling back" in message for message in messages) == 1
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.data())
+def test_assemble_design_matches_direct_formula(data):
+    table = data.draw(tables())
+    check_direct_formula(table, data.draw(configs(len(table.columns))))
+
+
+def test_tiny_coordinate_vanishes_from_the_projections_as_in_the_kernel():
+    # 1.4e-45 next to 1.0 is lost once a row is projected, so every row of
+    # the pattern (c1, c2, c3) projects alike and its bandwidth is degenerate;
+    # projecting the differences instead would keep it
+    x = np.array([[0.0, 0.0, 1.0, 1.4e-45], [np.nan, 0.0, 1.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
+    cols = ("c0", "c1", "c2", "c3")
+    table = ObservationTable(
+        y=np.zeros(3), x=x, mask=~np.isnan(x), columns=cols,
+        structure=ModelStructure(nonlinear=cols[:1], linear=cols[1:]),
+    )
+    config = KernelConfig(projection="resampled", n_projections=1, projection_threshold=1, seed=0)
+    check_direct_formula(table, config)
+    assert direct_imputation(table, config, SPEC)[3] == Counter({"pattern:c1,c2,c3": 1})
 
 
 def test_forced_underflow_and_no_donor_cells_match_direct_formula():

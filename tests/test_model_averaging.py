@@ -29,6 +29,7 @@ from primeplm.model_averaging import (
     cv_weights,
     predict_averaged,
 )
+from primeplm.spline import basis_matrix
 from reference_kernel import delete_one_residuals
 
 
@@ -98,6 +99,20 @@ def test_cc_design_uses_complete_rows_only():
     G = cc_design(table, cands[0], spec, rows)
     assert G.shape == (12, spec.basis_size + 7)
     assert np.all(np.isfinite(G))
+    # the stack of its pieces, bit for bit
+    vals = table.x[rows, 0]
+    block = basis_matrix(spec, (vals - vals.min()) / (vals.max() - vals.min()))
+    want = np.hstack([block, table.x[rows, 1:]])
+    assert np.array_equal(G.view(np.uint64), want.view(np.uint64))
+
+
+def test_residuals_and_leverages_from_one_qr():
+    rng = np.random.default_rng(8)
+    G, y = rng.normal(size=(50, 5)), rng.normal(size=50)
+    q, _ = np.linalg.qr(G, mode="reduced")
+    resid, h = _residuals_and_leverages(G, y)
+    assert np.array_equal(resid.view(np.uint64), (y - q @ (q.T @ y)).view(np.uint64))
+    assert np.array_equal(h.view(np.uint64), (q * q).sum(axis=1).view(np.uint64))
 
 
 def test_hat_diag_examples():

@@ -31,8 +31,10 @@ from primeplm import (
     predict,
     save_fit,
 )
+from primeplm import prime_fit
+from primeplm.dataset import _observed_ranges
 from primeplm.errors import DegenerateSampleWarning
-from primeplm.kernel_impute import KernelConfig
+from primeplm.kernel_impute import KernelConfig, impute
 from primeplm.prime_fit import _designs
 
 RTOL = 1e-12
@@ -258,3 +260,34 @@ def test_candidate_fit_files_equal_fit_prime_byte_for_byte(tmp_path):
         assert_fit_file_layout(got, candidate)
         assert_fit_file_layout(want, candidate)
         assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("missing_rate", [0.0, 0.25])
+def test_designs_fill_one_matrix_as_a_stack_of_their_pieces(monkeypatch, missing_rate):
+    # the imputed basis blocks and value columns, as impute left them
+    table, _ = scaled_table(17, 40, 4, missing_rate)
+    filled = []
+
+    def keeping(table, pattern, config, arrays):
+        filled.append(arrays)
+        return impute(table, pattern, config, arrays)
+
+    monkeypatch.setattr(prime_fit, "impute", keeping)
+    structures = [table.structure, *build_candidates(table.columns)]
+    nmap = _observed_ranges(table, table.columns)
+    spec = make_spec(3, 1)
+    designs = _designs(table, build_pattern_index(table), spec, KernelConfig(), nmap, structures)
+    for structure, got in zip(structures, designs, strict=True):
+        (arrays,) = filled
+        basis = [arrays[table.position(c)][0] for c in structure.nonlinear]
+        means = [b[table.mask[:, table.position(c)]].mean(axis=0)
+                 for b, c in zip(basis, structure.nonlinear)]
+        want = np.hstack([
+            np.ones((table.n, 1)),
+            *(b - m for b, m in zip(basis, means)),
+            *(arrays[table.position(c)][-1] for c in structure.linear),
+        ])
+        assert got.matrix.flags.c_contiguous
+        assert np.array_equal(got.matrix.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(got.centering_means.view(np.uint64),
+                              np.reshape(means, (-1, spec.basis_size)).view(np.uint64))
