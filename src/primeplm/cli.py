@@ -258,7 +258,8 @@ def cmd_average(args) -> int:
         "weights": {name: w for name, w in zip(avg.candidates, avg.weights.tolist())},
         "n_complete": avg.n_complete,
         "n_dropped": avg.n_dropped,
-        "objective": avg.objective,
+        # the uniform fallback has no CV objective (NaN), which JSON cannot hold
+        "objective": avg.objective if np.isfinite(avg.objective) else None,
         "uniform_fallback": avg.uniform_fallback,
         "notes": list(avg.notes),
     }

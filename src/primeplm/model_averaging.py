@@ -16,6 +16,7 @@ stacked from those columns.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,9 +65,11 @@ def build_candidates(columns) -> list[ModelStructure]:
     ]
 
 
-def fit_candidate_full(table, spec, config, normalization, design, n_complete) -> PrimeFit:
-    """Full-data fit of one candidate, ``table`` under its structure, on its design."""
-    return _solve(table, spec, config, normalization, design, n_complete)
+def fit_candidate_full(
+    table, candidate, spec, config, normalization, design, n_complete
+) -> PrimeFit:
+    """Full-data fit of ``candidate`` over ``table``'s columns, on its design."""
+    return _solve(table, candidate, spec, config, normalization, design, n_complete)
 
 
 def cc_design(
@@ -95,6 +98,20 @@ def cc_design(
     for k, c in enumerate(candidate.linear, start=L):
         G[:, k] = table.x[rows, table.position(c)]
     return G
+
+
+def _complete_designs(table, candidates, spec, bases) -> Iterator[np.ndarray]:
+    """``cc_design`` of each candidate on a complete ``table``, its basis block
+    taken from ``bases``; one matrix is refilled for every candidate."""
+    L = spec.basis_size
+    G = None
+    for candidate in candidates:
+        if G is None or G.shape[1] != L + len(candidate.linear):
+            G = np.empty((table.n, L + len(candidate.linear)))
+        G[:, :L] = bases[candidate.nonlinear[0]]
+        for k, c in enumerate(candidate.linear, start=L):
+            G[:, k] = table.x[:, table.position(c)]
+        yield G
 
 
 def _residuals_and_leverages(G: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -126,14 +143,25 @@ def build_cv_matrix(
     table: ObservationTable,
     candidates: list[ModelStructure],
     spec: SplineSpec,
+    *,
+    bases: Mapping[str, np.ndarray] | None = None,
 ) -> CvMatrix:
     """One pass over candidates; units with leverage >= 1 - 1e-8 in any
-    candidate are dropped from every column (same unit set throughout)."""
+    candidate are dropped from every column (same unit set throughout).
+
+    ``bases`` may map each candidate's nonlinear column to its uncentered
+    basis rows over all of ``table``'s rows, under that column's observed
+    range.  When every row is a complete case, that range is the
+    complete-case range, so those rows are ``cc_design``'s basis block bit
+    for bit and are used in its place; otherwise ``bases`` is not read.
+    """
     rows = complete_case_subset(table)
-    parts = [
-        _residuals_and_leverages(cc_design(table, candidate, spec, rows), table.y[rows])
-        for candidate in candidates
-    ]
+    if bases is not None and 0 < rows.size == table.n:
+        designs = _complete_designs(table, candidates, spec, bases)
+    else:
+        designs = (cc_design(table, candidate, spec, rows) for candidate in candidates)
+    y = table.y[rows]
+    parts = [_residuals_and_leverages(G, y) for G in designs]
     keep = np.logical_and.reduce([h < 1.0 - _LEVERAGE_TOL for _, h in parts])
     if not keep.any():
         raise InsufficientCompleteCases("every complete case has leverage ~ 1")
@@ -231,12 +259,12 @@ def fit_prime_ma(
     config = config or KernelConfig()
     candidates = build_candidates(table.columns)
     nmap = _observed_ranges(table, table.columns)
-    designs = _designs(table, build_pattern_index(table), spec, config, nmap, candidates)
+    bases, designs = _designs(table, build_pattern_index(table), spec, config, nmap, candidates)
     rows = complete_case_subset(table)
     # each design is solved, and released, before the next is stacked
     fits = tuple(
-        fit_candidate_full(table.with_structure(c), spec, config, nmap, next(designs), rows.size)
-        for c in candidates
+        fit_candidate_full(table, c, spec, config, nmap, design, rows.size)
+        for c, design in zip(candidates, designs)
     )
     n_cov = len(table.columns)
     threshold = 1 + spec.basis_size + (n_cov - 1)
@@ -251,7 +279,9 @@ def fit_prime_ma(
         objective = float("nan")
         uniform = True
     else:
-        cv = build_cv_matrix(table, candidates, spec)
+        # on a complete table these are the CV's basis blocks (build_cv_matrix)
+        named = {name: bases[pos] for pos, name in enumerate(table.columns)}
+        cv = build_cv_matrix(table, candidates, spec, bases=named)
         weights = cv_weights(cv.matrix)
         dropped = int(cv.dropped.size)
         if dropped:

@@ -103,26 +103,36 @@ class PrimeFit:
     diagnostics: FitDiagnostics
 
 
-def _designs(table, pattern, spec, config, normalization, structures) -> Iterator[DesignMatrix]:
+def _designs(
+    table, pattern, spec, config, normalization, structures
+) -> tuple[dict[int, np.ndarray], Iterator[DesignMatrix]]:
     """The designs of ``structures`` over ``table``'s columns, stacked as they
     are taken from columns imputed by one ``impute`` call on ``table`` as given,
     each with its own counters.  A column nonlinear in some structure is imputed
     as basis rows of its values under ``normalization``, one linear in some
-    structure as values, and one asked for both shares its donor weights."""
+    structure as values, and one asked for both shares its donor weights.
+    Returned with the designs: each nonlinear column's uncentered, imputed
+    basis rows, by column position."""
     L = spec.basis_size
     nonlinear = [[table.position(c) for c in s.nonlinear] for s in structures]
     linear = [[table.position(c) for c in s.linear] for s in structures]
-    basis, values = {}, {}
+    basis, values, means = {}, {}, {}
     for pos in dict.fromkeys(chain.from_iterable(nonlinear)):
         observed = table.mask[:, pos]
+        if observed.all():
+            # every row is observed, so neither a scatter nor a masked copy
+            z = normalization.apply(table.columns[pos], table.x[:, pos], clamp=False)
+            basis[pos] = basis_matrix(spec, z)
+            means[pos] = basis[pos].mean(axis=0)
+            continue
         z = normalization.apply(table.columns[pos], table.x[observed, pos], clamp=False)
         basis[pos] = np.zeros((table.n, L))
-        basis[pos][observed] = basis_matrix(spec, z)
+        basis[pos][observed] = observed_basis = basis_matrix(spec, z)
+        means[pos] = observed_basis.mean(axis=0)
     for pos in dict.fromkeys(chain.from_iterable(linear)):
         values[pos] = np.array(table.x[:, pos : pos + 1])
     arrays = {j: tuple(d[j] for d in (basis, values) if j in d) for j in {**basis, **values}}
     imputation = impute(table, pattern, config, arrays)
-    means = {pos: basis[pos][table.mask[:, pos]].mean(axis=0) for pos in basis}
 
     def design(structure, nl, lin) -> DesignMatrix:
         block_means = np.array([means[pos] for pos in nl]).reshape(-1, L)
@@ -138,7 +148,7 @@ def _designs(table, pattern, spec, config, normalization, structures) -> Iterato
         labels = ("intercept", *labels, *structure.linear)
         return DesignMatrix(matrix, labels, block_means, copy.deepcopy(imputation))
 
-    return map(design, structures, nonlinear, linear)
+    return basis, map(design, structures, nonlinear, linear)
 
 
 def assemble_design(
@@ -152,7 +162,8 @@ def assemble_design(
     ``normalization`` maps the nonlinear columns onto [0, 1] for the spline
     basis, and without it they must already lie there."""
     nmap = normalization or NormalizationMap({c: (0.0, 1.0) for c in table.structure.nonlinear})
-    return next(_designs(table, pattern, spec, config, nmap, [table.structure]))
+    _, designs = _designs(table, pattern, spec, config, nmap, [table.structure])
+    return next(designs)
 
 
 def solve_least_squares(
@@ -189,15 +200,17 @@ def _fit_pipeline(
 ) -> PrimeFit:
     nmap = _observed_ranges(table, table.structure.nonlinear)
     design = assemble_design(table, build_pattern_index(table), spec, config, nmap)
-    return _solve(table, spec, config, nmap, design, int(complete_case_subset(table).size))
+    n_complete = int(complete_case_subset(table).size)
+    return _solve(table, table.structure, spec, config, nmap, design, n_complete)
 
 
-def _solve(table, spec, config, nmap, design, n_complete) -> PrimeFit:
-    """Least squares on ``design``, read back as the fit of ``table.structure``."""
+def _solve(table, structure, spec, config, nmap, design, n_complete) -> PrimeFit:
+    """Least squares of ``table``'s response on ``design``, read back as the
+    fit of ``structure`` over ``table``'s columns."""
     diagnostics = FitDiagnostics(n_complete=n_complete, imputation=design.imputation)
     coef = solve_least_squares(design.matrix, table.y, diagnostics)
 
-    p, q, L = table.structure.p, table.structure.q, spec.basis_size
+    p, q, L = structure.p, structure.q, spec.basis_size
     if diagnostics.rank_deficient:
         if diagnostics.rank == diagnostics.n_columns - p:
             diagnostics.notes.append(
@@ -211,11 +224,11 @@ def _solve(table, spec, config, nmap, design, n_complete) -> PrimeFit:
     curve = coef[1 : 1 + p * L].reshape(p, L) if p else np.zeros((0, L))
     linear = coef[1 + p * L :]
     return PrimeFit(
-        structure=table.structure,
+        structure=structure,
         columns=table.columns,
         spec=spec,
         kernel_config=config,
-        normalization=NormalizationMap({c: nmap.ranges[c] for c in table.structure.nonlinear}),
+        normalization=NormalizationMap({c: nmap.ranges[c] for c in structure.nonlinear}),
         intercept=intercept,
         curve_coefs=curve,
         linear_coefs=linear,

@@ -470,15 +470,20 @@ def test_average_predicts_given_rows(tmp_path, capsys):
                           avg.predict(load_rows(TOY, table.columns)))
 
 
-def test_average_without_complete_rows_needs_predict_data(tmp_path, capsys):
+def write_holes_csv(path):
+    """30 rows, every one missing one covariate: no complete case."""
     rng = np.random.default_rng(4)
     x = rng.uniform(size=(30, 4))
-    data = tmp_path / "holes.csv"
-    with open(data, "w") as fh:
+    with open(path, "w") as fh:
         fh.write("y,a,b,c\n")
         for i, row in enumerate(x.tolist()):
             row[1 + i % 3] = "NA"  # every row misses one covariate
             fh.write(",".join(map(str, row)) + "\n")
+
+
+def test_average_without_complete_rows_needs_predict_data(tmp_path, capsys):
+    data = tmp_path / "holes.csv"
+    write_holes_csv(data)
     report = tmp_path / "avg.json"
     rc = main(["average", "--data", str(data), "--out", str(report),
                "--predictions-out", str(tmp_path / "p.csv"), "--seed", "1"])
@@ -488,6 +493,21 @@ def test_average_without_complete_rows_needs_predict_data(tmp_path, capsys):
     assert captured.err == "error: no complete rows to predict; give --predict-data\n"
     assert not (tmp_path / "p.csv").exists()
     assert not report.exists()
+
+
+def test_average_report_on_the_uniform_fallback_is_strict_json(tmp_path, capsys):
+    data = tmp_path / "holes.csv"
+    write_holes_csv(data)
+    report = tmp_path / "avg.json"
+    assert main(["average", "--data", str(data), "--out", str(report), "--seed", "1"]) == 0
+    assert "uniform fallback" in capsys.readouterr().out
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    payload = json.loads(report.read_text(), parse_constant=reject)
+    assert payload["uniform_fallback"] is True
+    assert payload["objective"] is None
 
 
 def test_average_reruns_are_byte_identical(tmp_path, capsys):

@@ -32,6 +32,7 @@ from primeplm import (
     save_fit,
 )
 from primeplm import prime_fit
+from primeplm.spline import basis_matrix
 from primeplm.dataset import _observed_ranges
 from primeplm.errors import DegenerateSampleWarning
 from primeplm.kernel_impute import KernelConfig, impute
@@ -166,7 +167,7 @@ def assert_one_call_gives_each_structure_its_design(table, spec, config):
     pattern = build_pattern_index(table)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateSampleWarning)
-        designs = list(_designs(table, pattern, spec, config, nmap, structures))
+        designs = list(_designs(table, pattern, spec, config, nmap, structures)[1])
         for structure, got in zip(structures, designs, strict=True):
             want = assemble_design(table.with_structure(structure), pattern, spec, config, nmap)
             assert np.array_equal(got.matrix, want.matrix)
@@ -262,10 +263,19 @@ def test_candidate_fit_files_equal_fit_prime_byte_for_byte(tmp_path):
         assert got.read_bytes() == want.read_bytes()
 
 
-@pytest.mark.parametrize("missing_rate", [0.0, 0.25])
-def test_designs_fill_one_matrix_as_a_stack_of_their_pieces(monkeypatch, missing_rate):
+@pytest.mark.parametrize("missing_rate, complete", [
+    pytest.param(0.0, (), id="0.0"),
+    pytest.param(0.25, (), id="0.25"),
+    pytest.param(0.25, (0, 2), id="0.25-c0-c2-complete"),
+])
+def test_designs_fill_one_matrix_as_a_stack_of_their_pieces(monkeypatch, missing_rate, complete):
     # the imputed basis blocks and value columns, as impute left them
     table, _ = scaled_table(17, 40, 4, missing_rate)
+    if complete:
+        mask = np.array(table.mask)
+        mask[:, complete] = True
+        table, _ = scaled_table(17, 40, 4, missing_rate, mask=mask)
+        assert not table.mask.all()
     filled = []
 
     def keeping(table, pattern, config, arrays):
@@ -276,9 +286,13 @@ def test_designs_fill_one_matrix_as_a_stack_of_their_pieces(monkeypatch, missing
     structures = [table.structure, *build_candidates(table.columns)]
     nmap = _observed_ranges(table, table.columns)
     spec = make_spec(3, 1)
-    designs = _designs(table, build_pattern_index(table), spec, KernelConfig(), nmap, structures)
+    bases, designs = _designs(
+        table, build_pattern_index(table), spec, KernelConfig(), nmap, structures
+    )
+    centering = {}
     for structure, got in zip(structures, designs, strict=True):
         (arrays,) = filled
+        centering.update(zip(structure.nonlinear, got.centering_means))
         basis = [arrays[table.position(c)][0] for c in structure.nonlinear]
         means = [b[table.mask[:, table.position(c)]].mean(axis=0)
                  for b, c in zip(basis, structure.nonlinear)]
@@ -289,5 +303,23 @@ def test_designs_fill_one_matrix_as_a_stack_of_their_pieces(monkeypatch, missing
         ])
         assert got.matrix.flags.c_contiguous
         assert np.array_equal(got.matrix.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(got.centering_means.view(np.uint64),
+                              np.reshape(means, (-1, spec.basis_size)).view(np.uint64))
+    # the bases returned are the ones imputed; a complete column's equals the
+    # scatter of its observed rows into zeros, and its centering mean the
+    # masked mean of that scatter
+    assert sorted(bases) == list(range(len(table.columns)))
+    for pos, name in enumerate(table.columns):
+        assert bases[pos] is arrays[pos][0]
+        observed = table.mask[:, pos]
+        if not observed.all():
+            continue
+        scattered = np.zeros((table.n, spec.basis_size))
+        scattered[observed] = basis_matrix(
+            spec, nmap.apply(name, table.x[observed, pos], clamp=False)
+        )
+        assert np.array_equal(bases[pos].view(np.uint64), scattered.view(np.uint64))
+        assert np.array_equal(centering[name].view(np.uint64),
+                              scattered[observed].mean(axis=0).view(np.uint64))
         assert np.array_equal(got.centering_means.view(np.uint64),
                               np.reshape(means, (-1, spec.basis_size)).view(np.uint64))
