@@ -11,7 +11,11 @@ unit is refitted.  Final predictions average the full-data candidate fits
 under those weights.  Every column is nonlinear in one candidate and linear
 in the others, so each is imputed once, values and basis rows together, by
 one ``impute`` call on the raw table, and every candidate's design is
-stacked from those columns.
+stacked from those columns.  On a complete table the CV designs reuse
+those columns' uncentered bases: every row is a complete case, so each
+column's complete-case range is its normalization range and the basis the
+CV would evaluate is the same one, bit for bit.  With holes the two ranges
+differ, and the CV evaluates its own bases on the complete cases.
 """
 
 from __future__ import annotations
@@ -102,12 +106,14 @@ def cc_design(
 
 def _complete_designs(table, candidates, spec, bases) -> Iterator[np.ndarray]:
     """``cc_design`` of each candidate on a complete ``table``, its basis block
-    taken from ``bases``; one matrix is refilled for every candidate."""
+    taken from ``bases``.  One matrix is refilled for every candidate, in
+    Fortran order: each column is written whole, and LAPACK's QR reads it
+    with no transposing copy.  The values, and so the QR's bits, are the same."""
     L = spec.basis_size
     G = None
     for candidate in candidates:
         if G is None or G.shape[1] != L + len(candidate.linear):
-            G = np.empty((table.n, L + len(candidate.linear)))
+            G = np.empty((table.n, L + len(candidate.linear)), order="F")
         G[:, :L] = bases[candidate.nonlinear[0]]
         for k, c in enumerate(candidate.linear, start=L):
             G[:, k] = table.x[:, table.position(c)]
