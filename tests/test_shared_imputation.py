@@ -32,11 +32,11 @@ from primeplm import (
     save_fit,
 )
 from primeplm import prime_fit
-from primeplm.spline import basis_matrix
 from primeplm.dataset import _observed_ranges
 from primeplm.errors import DegenerateSampleWarning
 from primeplm.kernel_impute import KernelConfig, impute
 from primeplm.prime_fit import _designs
+from primeplm.spline import basis_matrix
 
 RTOL = 1e-12
 
