@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from ._kv import read_kv_file
-from .dataset import load_csv, load_rows, load_structure, minmax_normalize
+from .dataset import _observed_ranges, load_csv, load_rows, load_structure
 from .errors import (
     InsufficientCompleteCases,
     InvalidConfig,
@@ -34,6 +34,7 @@ from .kernel_impute import KernelConfig
 from .model_averaging import fit_prime_ma
 from .prime_fit import _diagnostics_payload, fit_prime, load_fit, predict, save_fit
 from .simulation import (
+    _ALL_METHODS,
     _SETTINGS,
     TRUE_BETA,
     MethodMetrics,
@@ -126,14 +127,13 @@ def _flag_spec(args, placement="uniform", data=None):
 
 def _spline_spec(args, table):
     if args.placement == "quantile":
-        normalized, _ = minmax_normalize(table)
-        pooled = np.concatenate(
-            [
-                normalized.x[normalized.mask[:, normalized.position(c)],
-                             normalized.position(c)]
-                for c in normalized.structure.nonlinear
-            ]
-        ) if normalized.structure.p else np.empty(0)
+        # the observed values of the nonlinear columns, each scaled onto [0, 1]
+        nonlinear = table.structure.nonlinear
+        nmap = _observed_ranges(table, nonlinear)
+        pooled = np.concatenate([np.empty(0)] + [
+            nmap.apply(c, table.x[table.mask[:, j], j], clamp=False)
+            for c, j in zip(nonlinear, map(table.position, nonlinear))
+        ])
         return _flag_spec(args, "quantile", data=pooled)
     return _flag_spec(args)
 
@@ -495,8 +495,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--n", type=int, default=None, help="override sample size")
     p_sim.add_argument("--replications", type=int, default=None)
     p_sim.add_argument("--seed", type=int, default=None, help="override master seed")
-    p_sim.add_argument("--methods", default="prime,prime_ma,cc,mean_impute",
-                       help="comma list: prime, prime_ma, cc, mean_impute")
+    p_sim.add_argument("--methods", default=",".join(_ALL_METHODS),
+                       help="comma list: " + ", ".join(_ALL_METHODS))
     p_sim.add_argument("--workers", type=int, default=None,
                        help="parallel workers (default: all cores)")
     p_sim.add_argument("--out-prefix", default="study",

@@ -33,7 +33,6 @@ __all__ = [
     "NormalizationMap",
     "load_structure",
     "load_csv",
-    "load_rows",
     "write_csv",
     "build_pattern_index",
     "complete_case_subset",
@@ -129,18 +128,6 @@ class ObservationTable:
             return self.columns.index(name)
         except ValueError:
             raise UnknownColumn(f"no column named {name!r}") from None
-
-    @property
-    def nonlinear_pos(self) -> np.ndarray:
-        return np.array([self.position(c) for c in self.structure.nonlinear], dtype=int)
-
-    @property
-    def linear_pos(self) -> np.ndarray:
-        return np.array([self.position(c) for c in self.structure.linear], dtype=int)
-
-    def with_structure(self, structure: ModelStructure) -> "ObservationTable":
-        """A copy of the data under a different nonlinear/linear partition."""
-        return ObservationTable(self.y, self.x, self.mask, self.columns, structure)
 
 
 def build_pattern_index(table: ObservationTable) -> dict[bytes, np.ndarray]:

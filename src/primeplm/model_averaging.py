@@ -46,7 +46,6 @@ __all__ = [
     "CvMatrix",
     "AveragedFit",
     "build_candidates",
-    "fit_candidate_full",
     "cc_design",
     "build_cv_matrix",
     "cv_weights",

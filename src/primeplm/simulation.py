@@ -42,10 +42,7 @@ __all__ = [
     "gen_errors",
     "apply_missing_scenario1",
     "apply_missing_scenario2",
-    "calibration_mu_samples",
-    "calibration_sum_sq",
     "run_study",
-    "scenario_from_entries",
 ]
 
 TRUE_BETA = np.array([1.0, -1.5, 1.0, -1.2, 0.4])
@@ -297,10 +294,8 @@ class MetricsReport:
 
 
 def _sim_table(x: np.ndarray, y: np.ndarray, mask: np.ndarray) -> ObservationTable:
-    return ObservationTable(
-        y=y, x=np.where(mask, x, np.nan), mask=mask, columns=SIM_COLUMNS,
-        structure=SIM_STRUCTURE,
-    )
+    # the table stores unobserved cells as NaN itself
+    return ObservationTable(y=y, x=x, mask=mask, columns=SIM_COLUMNS, structure=SIM_STRUCTURE)
 
 
 def _run_method(
@@ -311,7 +306,8 @@ def _run_method(
     kconfig: KernelConfig,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Returns (test predictions, linear coefficient estimates or None)."""
-    # built per call, so each fitter is looked up in the module namespace
+    # built per call, so a fitter patched in this module's namespace (as the
+    # perfbench tracer does) is the one that runs
     fitters = {
         "prime": fit_prime,
         "prime_ma": fit_prime_ma,
@@ -386,7 +382,6 @@ def _aggregate(
     records: list[ReplicationRecord],
 ) -> MetricsReport:
     metrics: dict[str, MethodMetrics] = {}
-    pe_by_method: dict[str, float] = {}
     for method in methods:
         recs = [r for r in records if r.method == method]
         oks = [r for r in recs if r.pe is not None]
@@ -406,7 +401,6 @@ def _aggregate(
             bias_sq = float(((bbar - TRUE_BETA) ** 2).sum())
         else:
             mse = variance = bias_sq = float("nan")
-        pe_by_method[method] = pe
         metrics[method] = MethodMetrics(
             method=method,
             n_ok=n_ok,
@@ -418,8 +412,8 @@ def _aggregate(
             variance=variance,
             bias_sq=bias_sq,
         )
-    if "prime" in metrics and np.isfinite(pe_by_method["prime"]):
-        base = pe_by_method["prime"]
+    if "prime" in metrics and np.isfinite(metrics["prime"].pe):
+        base = metrics["prime"].pe
         for method in methods:
             metrics[method] = dataclasses.replace(
                 metrics[method], pe_ratio=metrics[method].pe / base
@@ -431,7 +425,7 @@ def _aggregate(
 
 def run_study(
     config: ScenarioConfig,
-    methods=("prime", "prime_ma", "cc", "mean_impute"),
+    methods=_ALL_METHODS,
     workers: int = 1,
     spec: SplineSpec | None = None,
 ) -> MetricsReport:

@@ -2,17 +2,23 @@
 
 It builds every candidate's design from columns imputed by one ``impute``
 call, each basis scattered into zeros over its observed rows and centered at
-its masked mean, fits each candidate on ``table.with_structure``, and builds
-the CV matrix from ``cc_design`` for every candidate, as ``build_cv_matrix``
-does when it is given no bases.  ``fit_prime_ma`` must agree with it bit for
-bit: on a complete table its CV reuses the full-data bases instead.
+its masked mean, fits each candidate on a copy of the table under the
+candidate's structure, and builds the CV matrix from ``cc_design`` for every
+candidate, as ``build_cv_matrix`` does when it is given no bases.
+``fit_prime_ma`` must agree with it bit for bit: on a complete table its CV
+reuses the full-data bases instead.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from primeplm.dataset import _observed_ranges, build_pattern_index, complete_case_subset
+from primeplm.dataset import (
+    ObservationTable,
+    _observed_ranges,
+    build_pattern_index,
+    complete_case_subset,
+)
 from primeplm.kernel_impute import impute
 from primeplm.model_averaging import (
     AveragedFit,
@@ -62,7 +68,7 @@ def fit_prime_ma_reference(table, spec, config):
     rows = complete_case_subset(table)
     fits = []
     for candidate, design in zip(candidates, designs):
-        view = table.with_structure(candidate)
+        view = ObservationTable(table.y, table.x, table.mask, table.columns, candidate)
         fits.append(_solve(view, view.structure, spec, config, nmap, design, rows.size))
     n_cov = len(table.columns)
     cv = None

@@ -418,7 +418,8 @@ def test_criterion_9_property_sweeps():
             config = KernelConfig(seed=seed)
             values = imputed_columns(table, pattern, config, make_spec())
             nonlinear = {table.position(c) for c in table.structure.nonlinear}
-            weights = {j: imputed_weights(table, config, j) for j in table.linear_pos}
+            linear = [table.position(c) for c in table.structure.linear]
+            weights = {j: imputed_weights(table, config, j) for j in linear}
             for i in np.flatnonzero(~table.mask.all(axis=1)):
                 for j in np.flatnonzero(~table.mask[i]):
                     if j in nonlinear:

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from primeplm import cli, errors
 from primeplm.cli import REPLICATION_HEADER, SUMMARY_HEADER, main
-from primeplm.dataset import load_csv, load_rows, load_structure
+from primeplm.dataset import load_csv, load_rows, load_structure, minmax_normalize
 from primeplm.kernel_impute import KernelConfig
 from primeplm.model_averaging import fit_prime_ma
 from primeplm.prime_fit import fit_prime, load_fit, predict
@@ -269,6 +269,24 @@ def test_fit_quantile_knots(tmp_path, capsys):
     # data quantiles of u1, not the uniform grid
     assert fit.spec.interior_knots != (pytest.approx(1 / 3), pytest.approx(2 / 3))
     assert 0.0 < fit.spec.interior_knots[0] < fit.spec.interior_knots[1] < 1.0
+
+    # exactly the quantiles of the nonlinear columns' observed values, pooled
+    # from the normalized table, with and without holes and over two columns
+    two = tmp_path / "two_nonlinear.txt"
+    two.write_text("response = y\nnonlinear = u1, w1\nlinear = w2\n")
+    for data, structure in ((TOY, STRUCTURE), (TOY_MISSING, STRUCTURE), (TOY_MISSING, two)):
+        fit_path = tmp_path / "quantile.json"
+        assert main([
+            "fit", "--data", data, "--structure", str(structure), "--fit-out", str(fit_path),
+            "--seed", "1", "--placement", "quantile", "--knots", "3",
+        ]) == 0
+        normalized, _ = minmax_normalize(load_csv(data, *load_structure(structure)))
+        pooled = np.concatenate([
+            normalized.x[normalized.mask[:, j], j]
+            for j in map(normalized.position, normalized.structure.nonlinear)
+        ])
+        assert load_fit(fit_path).spec == make_spec(3, 3, "quantile", data=pooled)
+    capsys.readouterr()
 
 
 def test_fit_drop_missing_response(tmp_path, capsys):

@@ -75,7 +75,8 @@ def test_table_holds_its_own_read_only_copies(pattern_table):
         assert not np.shares_memory(ours, theirs)
     x[0, 0] = 7.0
     assert table.x[0, 0] == pattern_table.x[0, 0]
-    assert not np.shares_memory(table.x, table.with_structure(STRUCTURE).x)
+    rebuilt = ObservationTable(table.y, table.x, table.mask, table.columns, STRUCTURE)
+    assert not np.shares_memory(table.x, rebuilt.x)
 
 
 def test_position_and_unknown(pattern_table):
@@ -310,16 +311,6 @@ def test_load_structure_sidecar(tmp_path):
     path.write_text("nonlinear = a\nlinear = b\n")
     with pytest.raises(StructureMismatch):
         load_structure(path)
-
-
-def test_with_structure_swaps_roles(pattern_table):
-    alt = ModelStructure(nonlinear=("x2",), linear=tuple(
-        c for c in COLUMNS if c != "x2"
-    ))
-    swapped = pattern_table.with_structure(alt)
-    assert swapped.structure.p == 1
-    assert_array_equal(swapped.x, pattern_table.x)
-    assert swapped.columns == pattern_table.columns
 
 
 def test_make_fixtures_rebuilds_the_committed_csvs(tmp_path):

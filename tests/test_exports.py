@@ -46,6 +46,18 @@ def test_public_api_is_pinned():
     assert sorted(primeplm.__all__) == PUBLIC_API
 
 
+# the package star-imports these modules, so a name listed by two of them
+# would silently resolve to the later one
+REEXPORTED = ["dataset", "kernel_impute", "model_averaging", "prime_fit", "simulation", "spline"]
+
+
+def test_package_reexports_each_module_all_once():
+    lists = [importlib.import_module(f"primeplm.{name}").__all__ for name in REEXPORTED]
+    union = [name for exported in lists for name in exported]
+    assert len(union) == len(set(union)), "a name is listed by two modules"
+    assert sorted(["__version__", *union]) == sorted(primeplm.__all__)
+
+
 # scipy takes most of the package's import time: code that needs one of its
 # modules imports it where it is used, so predict, report and fits on
 # complete tables never load it

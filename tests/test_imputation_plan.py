@@ -199,7 +199,8 @@ def test_cell_weights_match_direct_formula():
     table = make_random_table(rng, n=60, p=2, q=3, missing_rate=0.3)
     config = KernelConfig(projection="resampled", n_projections=2, projection_threshold=2)
     want, *_ = direct_imputation(table, config, SPEC)
-    weights = {j: imputed_weights(table, config, j) for j in table.linear_pos}
+    linear = [table.position(c) for c in table.structure.linear]
+    weights = {j: imputed_weights(table, config, j) for j in linear}
     checked = 0
     for (i, j), value in want.items():
         if table.columns[j] in table.structure.nonlinear:

@@ -31,8 +31,9 @@ def two_column_table(a, b):
     )
 
 
-def missing_cells(table, columns):
-    """(i, j) of every missing cell among the given columns, row by row."""
+def missing_cells(table, names):
+    """(i, j) of every missing cell among the named columns, row by row."""
+    columns = [table.position(c) for c in names]
     return [(i, j) for i in range(table.n) for j in columns if not table.mask[i, j]]
 
 
@@ -251,8 +252,9 @@ def test_convex_hull_property_bulk():
         pattern = build_pattern_index(table)
         config = KernelConfig(seed=7)
         values = imputed_columns(table, pattern, config)
-        weights = {j: imputed_weights(table, config, j) for j in table.linear_pos}
-        for i, j in missing_cells(table, table.linear_pos):
+        linear = [table.position(c) for c in table.structure.linear]
+        weights = {j: imputed_weights(table, config, j) for j in linear}
+        for i, j in missing_cells(table, table.structure.linear):
             # a fallback cell weighs every observed row
             pool = table.x[weights[j][i] > 0, j]
             value = values[j][i, 0]
@@ -268,7 +270,7 @@ def test_basis_rows_sum_to_one_bulk():
         table = make_random_table(rng, n=40, p=3, q=2, missing_rate=0.25)
         pattern = build_pattern_index(table)
         values = imputed_columns(table, pattern, KernelConfig(), spec)
-        for i, j in missing_cells(table, table.nonlinear_pos):
+        for i, j in missing_cells(table, table.structure.nonlinear):
             row = values[j][i]
             assert row.shape == (spec.basis_size,)
             assert np.all(row >= -1e-12)
@@ -289,7 +291,7 @@ def test_row_permutation_invariance():
     inverse = np.argsort(perm)
     values = imputed_columns(table, pattern, config)
     values_s = imputed_columns(shuffled, pattern_s, config)
-    for i, j in missing_cells(table, table.linear_pos):
+    for i, j in missing_cells(table, table.structure.linear):
         a = values[j][i, 0]
         b = values_s[j][inverse[i], 0]
         assert a == pytest.approx(b, abs=1e-12)
@@ -310,7 +312,7 @@ def test_projection_threshold_gates_resampling():
         )
     )
     saw_difference = False
-    for i, j in missing_cells(table, table.linear_pos):
+    for i, j in missing_cells(table, table.structure.linear):
         a = plain[j][i, 0]
         assert a == pytest.approx(gated[j][i, 0], abs=1e-12)
         if table.mask[i].sum() > 2:

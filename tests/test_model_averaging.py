@@ -310,7 +310,10 @@ def test_predict_averaged_degenerate_and_mixture():
     spec = make_spec()
     config = KernelConfig()
     cands = build_candidates(table.columns)
-    fits = [fit_prime(table.with_structure(c), spec, config) for c in cands]
+    fits = [
+        fit_prime(ObservationTable(table.y, table.x, table.mask, table.columns, c), spec, config)
+        for c in cands
+    ]
     rows = table.x[:7]
 
     e0 = np.zeros(3)

@@ -138,7 +138,9 @@ def test_fixed_bandwidth_is_in_raw_units_under_every_structure(monkeypatch):
     )
     config = KernelConfig(bandwidth="fixed", fixed_h=tuple(h))
     fit_prime(table, make_spec(), config)
-    fit_prime(table.with_structure(ModelStructure(("b",), ("a", "c"))), make_spec(), config)
+    swapped = ModelStructure(("b",), ("a", "c"))
+    fit_prime(ObservationTable(table.y, table.x, table.mask, table.columns, swapped),
+              make_spec(), config)
     # c is the last linear column of both structures
     got = [design[:, -1] for design in designs]
     assert_array_equal(got[0], got[1])
