@@ -12,7 +12,9 @@ OUT_DIR defaults to this directory.  The corpus holds:
 - ``primeplm average --seed 1 --predictions-out`` on toy_missing.csv, once
   predicting its complete rows and once with ``--predict-data toy.csv``;
 - ``primeplm simulate`` on scenario_small.txt, and ``primeplm report`` of
-  its summary with ``--out`` and ``--plot-out``.
+  its summary with ``--out`` and ``--plot-out``;
+- ``primeplm simulate`` on scenario_covariate.txt, the covariate-driven
+  deletion with heteroscedastic errors and AR(1) correlation.
 
 The commands run in a scratch directory holding copies of the inputs, so the
 file names that the outputs record carry no directory.  tests/test_golden.py
@@ -29,7 +31,10 @@ import tempfile
 
 HERE = pathlib.Path(__file__).parent
 DATA = HERE.parent / "data"
-INPUTS = ("toy_missing.csv", "toy.csv", "toy_structure.txt", "scenario_small.txt")
+INPUTS = (
+    "toy_missing.csv", "toy.csv", "toy_structure.txt",
+    "scenario_small.txt", "scenario_covariate.txt",
+)
 
 KERNELS = {
     "product": ["--projection", "none"],
@@ -53,10 +58,11 @@ def _commands(workers: int):
         yield (["average", "--data", "toy_missing.csv", "--out", report, "--seed", "1",
                 "--predictions-out", predictions, *predict_data],
                [report, predictions, predictions + ".meta.json"])
-    study = [f"study_{part}" for part in ("summary.csv", "replications.csv", "provenance.json")]
-    yield (["simulate", "--scenario", "scenario_small.txt", "--workers", str(workers),
-            "--out-prefix", "study"], study)
-    yield (["report", study[0], "--out", "report.md", "--plot-out", "report_plot.csv"],
+    for prefix, scenario in (("study", "scenario_small.txt"), ("study2", "scenario_covariate.txt")):
+        yield (["simulate", "--scenario", scenario, "--workers", str(workers),
+                "--out-prefix", prefix],
+               [f"{prefix}_{part}" for part in ("summary.csv", "replications.csv", "provenance.json")])
+    yield (["report", "study_summary.csv", "--out", "report.md", "--plot-out", "report_plot.csv"],
            ["report.md", "report_plot.csv"])
 
 
