@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from ._kv import read_kv_file
-from .dataset import _observed_ranges, load_csv, load_rows, load_structure
+from .dataset import _observed_ranges, complete_case_subset, load_csv, load_rows, load_structure
 from .errors import (
     InsufficientCompleteCases,
     InvalidConfig,
@@ -235,7 +235,7 @@ def cmd_average(args) -> int:
         if args.predict_data:
             rows = load_rows(args.predict_data, table.columns, args.missing_token)
         else:
-            rows = table.x[table.mask.all(axis=1)]
+            rows = table.x[complete_case_subset(table)]
             if rows.size == 0:
                 raise InsufficientCompleteCases(
                     "no complete rows to predict; give --predict-data"
@@ -287,12 +287,9 @@ def _summary_rows(report: MetricsReport) -> list[list[str]]:
 
 def cmd_simulate(args) -> int:
     entries = read_kv_file(args.scenario, InvalidConfig)
-    if args.n is not None:
-        entries["n"] = str(args.n)
-    if args.replications is not None:
-        entries["replications"] = str(args.replications)
-    if args.seed is not None:
-        entries["seed"] = str(args.seed)
+    for key in ("n", "replications", "seed"):
+        if (value := getattr(args, key)) is not None:
+            entries[key] = str(value)
     config = scenario_from_entries(entries)
 
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
@@ -328,7 +325,7 @@ def cmd_simulate(args) -> int:
         "tool_version": __version__,
         "scenario_file": str(args.scenario),
         "config": {key: getattr(config, name) for key, name, _ in _SETTINGS},
-        "methods": list(methods),
+        "methods": list(report.methods),
         "outputs": [summary_path, repl_path],
     })
 

@@ -15,7 +15,7 @@ import dataclasses
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -79,6 +79,9 @@ class ScenarioConfig:
     mr_params: tuple[float, float, float, float, float] = MR_PARAMS_60
 
     def __post_init__(self):
+        for name in ("n", "n_test", "replications", "seed"):
+            if not isinstance(v := getattr(self, name), (int, np.integer)) or isinstance(v, bool):
+                raise InvalidConfig(f"{name} must be an integer, got {v!r}")
         if self.n < 50:
             raise InvalidConfig(f"n must be >= 50, got {self.n}")
         if self.n_test < 1:
@@ -187,14 +190,24 @@ def _logistic(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(np.clip(z, -40.0, 40.0)))
 
 
-def _group_mask(n: int, probs: list[np.ndarray], rng: np.random.Generator) -> np.ndarray:
-    """True = observed; one uniform draw per (unit, deletable group)."""
+def _group_mask(
+    first: np.ndarray,
+    second: np.ndarray,
+    mr_params: tuple[float, float, float, float, float],
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """True = observed.  The three deletable pairs are dropped with
+    probabilities logistic(a first + b), Phi(c second + d) and e, by one
+    uniform draw per (unit, pair)."""
+    from scipy.special import ndtr  # only simulated missingness needs scipy.special
+
+    a, b, c, d, e = mr_params
+    probs = (_logistic(a * first + b), ndtr(c * second + d), e)
+    n = first.shape[0]
     u = rng.uniform(size=(n, len(_DELETION_GROUPS)))
     mask = np.ones((n, 8), dtype=bool)
     for k, cols in enumerate(_DELETION_GROUPS):
-        deleted = u[:, k] < probs[k]
-        for c in cols:
-            mask[deleted, c] = False
+        mask[np.ix_(u[:, k] < probs[k], cols)] = False
     return mask
 
 
@@ -205,16 +218,7 @@ def apply_missing_scenario1(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Deletion probabilities driven by the regression error."""
-    from scipy.special import ndtr  # only simulated missingness needs scipy.special
-
-    a, b, c, d, e = mr_params
-    n = x.shape[0]
-    probs = [
-        _logistic(a * eps + b),
-        ndtr(c * eps + d),
-        np.full(n, e),
-    ]
-    return _group_mask(n, probs, rng)
+    return _group_mask(eps, eps, mr_params, rng)
 
 
 def apply_missing_scenario2(
@@ -224,16 +228,7 @@ def apply_missing_scenario2(
 ) -> np.ndarray:
     """Deletion probabilities driven by covariates; the third-group
     probability uses the latent x3 draw even when x3 itself is deleted."""
-    from scipy.special import ndtr
-
-    a, b, c, d, e = mr_params
-    n = x.shape[0]
-    probs = [
-        _logistic(a * x[:, 0] + b),
-        ndtr(c * x[:, 2] + d),
-        np.full(n, e),
-    ]
-    return _group_mask(n, probs, rng)
+    return _group_mask(x[:, 0], x[:, 2], mr_params, rng)
 
 
 # -- calibration constants (fixed internal seed so every study shares them) --
@@ -298,28 +293,6 @@ def _sim_table(x: np.ndarray, y: np.ndarray, mask: np.ndarray) -> ObservationTab
     return ObservationTable(y=y, x=x, mask=mask, columns=SIM_COLUMNS, structure=SIM_STRUCTURE)
 
 
-def _run_method(
-    method: str,
-    table: ObservationTable,
-    x_test: np.ndarray,
-    spec: SplineSpec,
-    kconfig: KernelConfig,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Returns (test predictions, linear coefficient estimates or None)."""
-    # built per call, so a fitter patched in this module's namespace (as the
-    # perfbench tracer does) is the one that runs
-    fitters = {
-        "prime": fit_prime,
-        "prime_ma": fit_prime_ma,
-        "cc": fit_cc,
-        "mean_impute": fit_mean_impute,
-    }
-    fit = fitters[method](table, spec, kconfig)
-    if isinstance(fit, AveragedFit):
-        return fit.predict(x_test), None
-    return predict(fit, x_test), fit.linear_coefs
-
-
 def _replication_chunk(
     config: ScenarioConfig,
     reps: list[int],
@@ -335,6 +308,14 @@ def _replication_chunk(
         n_projections=2,
         projection_threshold=2,
     )
+    # looked up per chunk, so a fitter patched in this module's namespace (as
+    # the perfbench tracer does) is the one that runs
+    fitters = {
+        "prime": fit_prime,
+        "prime_ma": fit_prime_ma,
+        "cc": fit_cc,
+        "mean_impute": fit_mean_impute,
+    }
     test_rng = np.random.default_rng(np.random.SeedSequence([config.seed, _TEST_TAG]))
     x_test = gen_covariates(config.n_test, config.rho_mode, test_rng)
     mu_test = true_mean(x_test)
@@ -361,17 +342,18 @@ def _replication_chunk(
         table = _sim_table(x, y, mask)
         for method in methods:
             try:
-                pred, beta = _run_method(method, table, x_test, spec, kconfig)
+                fit = fitters[method](table, spec, kconfig)
+                if isinstance(fit, AveragedFit):
+                    pred, beta = fit.predict(x_test), None
+                else:
+                    pred, beta = predict(fit, x_test), tuple(fit.linear_coefs)
             except (PrimeError, np.linalg.LinAlgError) as err:
                 records.append(
                     ReplicationRecord(method, rep, None, None, f"{type(err).__name__}: {err}")
                 )
                 continue
-            pe = float(np.mean((pred - mu_test) ** 2))
             records.append(
-                ReplicationRecord(
-                    method, rep, pe, tuple(beta) if beta is not None else None
-                )
+                ReplicationRecord(method, rep, float(np.mean((pred - mu_test) ** 2)), beta)
             )
     return records
 
@@ -381,17 +363,12 @@ def _aggregate(
     methods: tuple[str, ...],
     records: list[ReplicationRecord],
 ) -> MetricsReport:
+    nan = float("nan")
+    succeeded = {m: [r for r in records if r.method == m and r.pe is not None] for m in methods}
+    pe = {m: float(np.mean([r.pe for r in oks])) if oks else nan for m, oks in succeeded.items()}
+    base = pe.get("prime", nan)
     metrics: dict[str, MethodMetrics] = {}
-    for method in methods:
-        recs = [r for r in records if r.method == method]
-        oks = [r for r in recs if r.pe is not None]
-        n_ok, n_failed = len(oks), len(recs) - len(oks)
-        if oks:
-            pes = np.array([r.pe for r in oks])
-            pe = float(pes.mean())
-            pe_sd = float(pes.std(ddof=1)) if len(oks) >= 2 else float("nan")
-        else:
-            pe = pe_sd = float("nan")
+    for method, oks in succeeded.items():
         betas = [r.beta for r in oks if r.beta is not None]
         if betas and len(betas) == len(oks):
             B = np.array(betas)
@@ -400,24 +377,18 @@ def _aggregate(
             variance = float(((B - bbar) ** 2).sum(axis=1).mean())
             bias_sq = float(((bbar - TRUE_BETA) ** 2).sum())
         else:
-            mse = variance = bias_sq = float("nan")
+            mse = variance = bias_sq = nan
         metrics[method] = MethodMetrics(
             method=method,
-            n_ok=n_ok,
-            n_failed=n_failed,
-            pe=pe,
-            pe_sd=pe_sd,
-            pe_ratio=float("nan"),
+            n_ok=len(oks),
+            n_failed=sum(r.method == method for r in records) - len(oks),
+            pe=pe[method],
+            pe_sd=float(np.std([r.pe for r in oks], ddof=1)) if len(oks) >= 2 else nan,
+            pe_ratio=pe[method] / base if math.isfinite(base) else nan,
             mse=mse,
             variance=variance,
             bias_sq=bias_sq,
         )
-    if "prime" in metrics and np.isfinite(metrics["prime"].pe):
-        base = metrics["prime"].pe
-        for method in methods:
-            metrics[method] = dataclasses.replace(
-                metrics[method], pe_ratio=metrics[method].pe / base
-            )
     return MetricsReport(
         config=config, methods=methods, metrics=metrics, records=tuple(records)
     )
@@ -451,14 +422,9 @@ def run_study(
         records = _replication_chunk(config, all_reps, methods, spec)
     else:
         chunks = [c.tolist() for c in np.array_split(all_reps, workers) if c.size]
-        records = []
+        run_chunk = partial(_replication_chunk, config, methods=methods, spec=spec)
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            futures = [
-                pool.submit(_replication_chunk, config, chunk, methods, spec)
-                for chunk in chunks
-            ]
-            for fut in futures:
-                records.extend(fut.result())
+            records = [rec for part in pool.map(run_chunk, chunks) for rec in part]
     return _aggregate(config, methods, records)
 
 

@@ -689,6 +689,20 @@ def test_simulate_flag_overrides(tmp_path, capsys):
     assert payload["config"]["seed"] == 9
 
 
+def test_simulate_provenance_lists_each_method_once(tmp_path, capsys):
+    prefix = tmp_path / "dup"
+    rc = main([
+        "simulate", "--scenario", SCENARIO, "--methods", "cc,prime,cc",
+        "--replications", "1", "--workers", "1", "--out-prefix", str(prefix),
+    ])
+    assert rc == 0
+    capsys.readouterr()
+    payload = json.loads(pathlib.Path(f"{prefix}_provenance.json").read_text())
+    assert payload["methods"] == ["cc", "prime"]
+    rows = read_csv_rows(f"{prefix}_summary.csv")
+    assert [r[0] for r in rows[1:]] == payload["methods"]
+
+
 def test_simulate_bad_scenario_file(tmp_path, capsys):
     bad = tmp_path / "scenario.txt"
     bad.write_text("n = 60\nreplications = 2\nseed = 1\nflavor = lemon\n")

@@ -318,6 +318,18 @@ def test_scenario_config_validation():
         small_config(replications=0)
 
 
+def test_scenario_config_integer_fields():
+    # a float count used to pass here and end the study in a bare TypeError
+    config = small_config(n=np.int64(60), n_test=np.int32(50), replications=np.uint8(1),
+                          seed=np.int16(3))
+    cc = run_study(config, methods=("cc",)).metrics["cc"]
+    assert cc.n_ok + cc.n_failed == 1
+    for field, value in (("n", 100.0), ("n_test", 20.0), ("replications", 2.0),
+                         ("seed", 1.5), ("seed", True), ("n", np.float64(60)), ("n", "60")):
+        with pytest.raises(InvalidConfig, match=f"{field} must be an integer"):
+            small_config(**{field: value})
+
+
 def test_scenario_from_entries():
     entries = {
         "n": "200", "replications": "100", "seed": "42", "rho": "ar",
