@@ -94,9 +94,10 @@ def cc_design(
     lo, hi = float(vals.min()), float(vals.max())
     if not hi > lo:
         raise DegenerateColumn(f"candidate column {name!r} is constant on the complete cases")
-    # filled in place: no stacked temporaries per candidate
+    # filled in place: no stacked temporaries per candidate; Fortran order
+    # lets LAPACK's QR read it with no transposing copy
     L = spec.basis_size
-    G = np.empty((rows.size, L + len(candidate.linear)))
+    G = np.empty((rows.size, L + len(candidate.linear)), order="F")
     G[:, :L] = basis_matrix(spec, (vals - lo) / (hi - lo))
     for k, c in enumerate(candidate.linear, start=L):
         G[:, k] = table.x[rows, table.position(c)]
@@ -106,8 +107,8 @@ def cc_design(
 def _complete_designs(table, candidates, spec, bases) -> Iterator[np.ndarray]:
     """``cc_design`` of each candidate on a complete ``table``, its basis block
     taken from ``bases``.  One matrix is refilled for every candidate, in
-    Fortran order: each column is written whole, and LAPACK's QR reads it
-    with no transposing copy.  The values, and so the QR's bits, are the same."""
+    ``cc_design``'s Fortran order, so the QR's bits are ``cc_design``'s too;
+    only the basis evaluation and one allocation per candidate are saved."""
     L = spec.basis_size
     G = None
     for candidate in candidates:

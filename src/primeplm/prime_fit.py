@@ -136,9 +136,10 @@ def _designs(
 
     def design(structure, nl, lin) -> DesignMatrix:
         block_means = np.array([means[pos] for pos in nl]).reshape(-1, L)
-        # each block is written into the one matrix, with no stacked temporaries
+        # each block is written into the one matrix, with no stacked temporaries;
+        # Fortran order lets LAPACK's lstsq read it with no transposing copy
         end = 1 + len(nl) * L
-        matrix = np.empty((table.n, end + len(lin)))
+        matrix = np.empty((table.n, end + len(lin)), order="F")
         matrix[:, 0] = 1.0
         for k, pos in enumerate(nl):
             np.subtract(basis[pos], block_means[k], out=matrix[:, 1 + k * L : 1 + (k + 1) * L])

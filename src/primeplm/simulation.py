@@ -16,6 +16,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
+from numbers import Real
 
 import numpy as np
 
@@ -80,8 +81,7 @@ class ScenarioConfig:
 
     def __post_init__(self):
         for name in ("n", "n_test", "replications", "seed"):
-            if not isinstance(v := getattr(self, name), (int, np.integer)) or isinstance(v, bool):
-                raise InvalidConfig(f"{name} must be an integer, got {v!r}")
+            _check_integer(name, getattr(self, name))
         if self.n < 50:
             raise InvalidConfig(f"n must be >= 50, got {self.n}")
         if self.n_test < 1:
@@ -94,11 +94,14 @@ class ScenarioConfig:
             )
         if self.error_mode not in ("homoscedastic", "heteroscedastic"):
             raise InvalidConfig(f"unknown error_mode {self.error_mode!r}")
-        if not 0.0 < self.r_squared < 1.0:
-            raise InvalidConfig("r_squared must lie strictly between 0 and 1")
+        if not (isinstance(self.r_squared, Real) and 0.0 < self.r_squared < 1.0):
+            raise InvalidConfig(f"r_squared must be a number in (0, 1), got {self.r_squared!r}")
         if self.missing not in ("scenario1", "scenario2", "none"):
             raise InvalidConfig(f"unknown missing mode {self.missing!r}")
-        params = tuple(float(v) for v in self.mr_params)
+        try:
+            params = tuple(float(v) for v in self.mr_params)
+        except (TypeError, ValueError):
+            raise InvalidConfig(f"mr_params must be 5 numbers, got {self.mr_params!r}") from None
         if len(params) != 5:
             raise InvalidConfig("mr_params needs exactly 5 values (a, b, c, d, e)")
         if not all(math.isfinite(v) for v in params):
@@ -108,6 +111,11 @@ class ScenarioConfig:
         object.__setattr__(self, "mr_params", params)
         if self.seed < 0:
             raise InvalidConfig("seed must be a nonnegative integer")
+
+
+def _check_integer(name: str, value) -> None:
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise InvalidConfig(f"{name} must be an integer, got {value!r}")
 
 
 # Each scenario setting: its scenario-file key, its ScenarioConfig field and
@@ -412,6 +420,7 @@ def run_study(
         raise InvalidConfig(f"unknown methods: {unknown}")
     if not methods:
         raise InvalidConfig("no methods requested")
+    _check_integer("workers", workers)
     if workers < 1:
         raise InvalidConfig("workers must be >= 1")
     if spec is None:

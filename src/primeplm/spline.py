@@ -102,24 +102,26 @@ def basis_matrix(spec: SplineSpec, x: np.ndarray) -> np.ndarray:
     span = np.searchsorted(t, flat, side="right") - 1
     span = np.clip(span, d, L - 1)
 
-    # triangular Cox-de Boor scheme, vectorized over points
-    vals = np.zeros((npts, d + 1))
-    vals[:, 0] = 1.0
-    left = np.empty((npts, d + 1))
-    right = np.empty((npts, d + 1))
+    # triangular Cox-de Boor scheme, vectorized over points: one contiguous
+    # row per order, so every step streams through memory
+    vals = np.zeros((d + 1, npts))
+    vals[0] = 1.0
+    left = np.empty((d + 1, npts))
+    right = np.empty((d + 1, npts))
     for r in range(1, d + 1):
-        left[:, r] = flat - t[span + 1 - r]
-        right[:, r] = t[span + r] - flat
-        saved = np.zeros(npts)
+        np.subtract(flat, t[span + 1 - r], out=left[r])
+        np.subtract(t[span + r], flat, out=right[r])
+        saved = vals[r]  # still zero; each step below leaves its carry there
         for j in range(r):
-            denom = right[:, j + 1] + left[:, r - j]
-            temp = vals[:, j] / denom
-            vals[:, j] = saved + right[:, j + 1] * temp
-            saved = left[:, r - j] * temp
-        vals[:, r] = saved
+            temp = right[j + 1] + left[r - j]
+            np.divide(vals[j], temp, out=temp)
+            np.multiply(right[j + 1], temp, out=vals[j])
+            vals[j] += saved  # IEEE addition commutes, so these are saved + right * temp
+            np.multiply(left[r - j], temp, out=saved)
 
+    # point i's order k lands at flat position i * L + span_i - d + k
     out = np.zeros((npts, L))
-    rows = np.arange(npts)
+    at = np.arange(npts) * L + span - d
     for offset in range(d + 1):
-        out[rows, span - d + offset] = vals[:, offset]
+        out.ravel()[at + offset] = vals[offset]
     return out

@@ -169,6 +169,30 @@ def test_holed_table_keeps_the_cc_design_path(monkeypatch, kernel):
     assert len(calls) == 2 * len(table.columns)
 
 
+@pytest.mark.parametrize("knots", [0, 2])
+def test_holed_cv_matrix_is_the_c_ordered_designs_bit_for_bit(monkeypatch, knots):
+    # cc_design fills a Fortran-ordered matrix; a C-ordered copy of it, which
+    # is what cc_design used to return, gives the same CV matrix bit for bit
+    table = complete_table(seed=8, n=120, k=5)
+    mask = np.random.default_rng(9).random(table.x.shape) >= 0.1
+    holed = ObservationTable(table.y, np.where(mask, table.x, np.nan), mask, table.columns,
+                             table.structure)
+    candidates = model_averaging.build_candidates(holed.columns)
+    spec = make_spec(3, knots)
+    rows = dataset.complete_case_subset(holed)
+    assert 0 < rows.size < holed.n
+    real = model_averaging.cc_design
+    for candidate in candidates:
+        assert real(holed, candidate, spec, rows).flags.f_contiguous
+    got = model_averaging.build_cv_matrix(holed, candidates, spec)
+    monkeypatch.setattr(model_averaging, "cc_design",
+                        lambda *args: np.ascontiguousarray(real(*args)))
+    want = model_averaging.build_cv_matrix(holed, candidates, spec)
+    assert_same_bits(got.matrix, want.matrix)
+    assert np.array_equal(got.rows, want.rows)
+    assert np.array_equal(got.dropped, want.dropped)
+
+
 def test_complete_table_evaluates_each_basis_once(monkeypatch):
     rng = np.random.default_rng(3)
     x = simulation.gen_covariates(300, "0.3", rng)

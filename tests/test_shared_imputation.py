@@ -303,7 +303,7 @@ def test_designs_fill_one_matrix_as_a_stack_of_their_pieces(monkeypatch, missing
             *(b - m for b, m in zip(basis, means)),
             *(arrays[table.position(c)][-1] for c in structure.linear),
         ])
-        assert got.matrix.flags.c_contiguous
+        assert got.matrix.flags.f_contiguous
         assert np.array_equal(got.matrix.view(np.uint64), want.view(np.uint64))
         assert np.array_equal(got.centering_means.view(np.uint64),
                               np.reshape(means, (-1, spec.basis_size)).view(np.uint64))

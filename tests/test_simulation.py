@@ -318,6 +318,24 @@ def test_scenario_config_validation():
         small_config(replications=0)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    pytest.param("r_squared", "0.7", "r_squared must be a number in", id="r_squared-str"),
+    pytest.param("mr_params", None, "mr_params must be 5 numbers", id="mr_params-None"),
+    pytest.param("mr_params", "abcde", "mr_params must be 5 numbers", id="mr_params-str"),
+])
+def test_scenario_config_non_numeric_fields(field, value, message):
+    # each used to escape as a bare TypeError or ValueError
+    with pytest.raises(InvalidConfig, match=message):
+        small_config(**{field: value})
+
+
+@pytest.mark.parametrize("workers", ["2", 2.0, True], ids=repr)
+def test_run_study_workers_must_be_an_integer(workers):
+    # "2" used to raise a bare TypeError, and 2.0 and True ran a study
+    with pytest.raises(InvalidConfig, match="workers must be an integer"):
+        run_study(small_config(replications=2), methods=("cc",), workers=workers)
+
+
 def test_scenario_config_integer_fields():
     # a float count used to pass here and end the study in a bare TypeError
     config = small_config(n=np.int64(60), n_test=np.int32(50), replications=np.uint8(1),

@@ -4,7 +4,8 @@ Both call LAPACK ``gelsd``, but each through its own OpenBLAS build, so the
 identity is empirical: this test is what pins it.  The designs are random
 tall matrices, rank-deficient ones (a duplicated column, a zero column) and
 the centered partition-of-unity blocks that ``_designs`` builds, whose rows
-sum to zero within each block.
+sum to zero within each block.  numpy hands LAPACK a Fortran-ordered copy
+of whatever it is given, so a C and an F copy of one design solve alike.
 """
 
 import numpy as np
@@ -67,3 +68,24 @@ def test_imputed_designs_match_scipy(seed, knots):
     matrix = fit_design(rng, knots)
     # one structural null per centered basis block
     assert assert_matches_scipy(matrix, rng.normal(size=matrix.shape[0])).rank_deficient
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["full", "duplicated", "zero", "imputed"]),
+    k=st.integers(1, 24),
+    extra_rows=st.integers(0, 400),
+)
+def test_c_and_fortran_copies_solve_alike(seed, kind, k, extra_rows):
+    rng = np.random.default_rng(seed)
+    if kind == "imputed":
+        matrix = fit_design(rng, k % 3)
+    else:
+        matrix = random_design(rng, kind, k + extra_rows, k)
+    y = rng.normal(size=matrix.shape[0])
+    c_diag, f_diag = FitDiagnostics(), FitDiagnostics()
+    c_coef = solve_least_squares(np.ascontiguousarray(matrix), y, c_diag)
+    f_coef = solve_least_squares(np.asfortranarray(matrix), y, f_diag)
+    assert np.array_equal(c_coef.view(np.uint64), f_coef.view(np.uint64))
+    assert c_diag == f_diag

@@ -15,6 +15,7 @@ from primeplm.dataset import ModelStructure, ObservationTable, build_pattern_ind
 from primeplm.kernel_impute import KernelConfig
 from primeplm.prime_fit import assemble_design
 from primeplm.spline import SplineSpec, basis_matrix, make_spec
+from reference_spline import basis_matrix as column_layout_basis
 
 
 def bernstein_row(x: float, d: int = 3) -> np.ndarray:
@@ -181,3 +182,34 @@ def test_centered_columns_mean_zero():
     design = assemble_design(table, build_pattern_index(table), spec, KernelConfig())
     assert_allclose(design.centering_means[0], basis_matrix(spec, x[:, 0]).mean(axis=0))
     assert_allclose(design.matrix[:, 1:].mean(axis=0), 0.0, atol=1e-14)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    degree=st.integers(1, 5),
+    n_interior=st.integers(0, 7),
+    placement=st.sampled_from(["uniform", "quantile"]),
+    shape=st.sampled_from(["1-d", "0-d", "2-d", "empty"]),
+    npts=st.integers(0, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_basis_matches_the_column_layout_oracle_bit_for_bit(
+    degree, n_interior, placement, shape, npts, seed
+):
+    rng = np.random.default_rng(seed)
+    spec = make_spec(degree, n_interior, placement, data=rng.uniform(size=200))
+    # both ends, each knot and its neighbours on either side, then random points
+    knots = np.array(spec.interior_knots)
+    x = np.concatenate([
+        [0.0, 1.0, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)],
+        knots, np.nextafter(knots, 0.0), np.nextafter(knots, 1.0),
+        rng.uniform(size=npts),
+    ])
+    rng.shuffle(x)
+    x = {"1-d": x, "0-d": np.asarray(x[0]), "2-d": x[: x.size // 2 * 2].reshape(2, -1),
+         "empty": np.empty(0)}[shape]
+    got = basis_matrix(spec, x)
+    want = column_layout_basis(spec, x)
+    assert got.shape == (np.size(x), spec.basis_size)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
