@@ -23,7 +23,6 @@ from .dataset import _observed_ranges, complete_case_subset, load_csv, load_rows
 from .errors import (
     InsufficientCompleteCases,
     InvalidConfig,
-    InvalidDegree,
     MalformedCsv,
     PrimeError,
     SingularGram,
@@ -117,14 +116,6 @@ def _kernel_config(args, seed: int) -> KernelConfig:
     )
 
 
-def _flag_spec(args, placement="uniform", data=None):
-    """make_spec from --degree and --knots; a bad flag is a usage error."""
-    try:
-        return make_spec(args.degree, args.knots, placement, data=data)
-    except InvalidDegree as err:
-        raise InvalidConfig(str(err)) from None
-
-
 def _spline_spec(args, table):
     if args.placement == "quantile":
         # the observed values of the nonlinear columns, each scaled onto [0, 1]
@@ -134,8 +125,8 @@ def _spline_spec(args, table):
             nmap.apply(c, table.x[table.mask[:, j], j], clamp=False)
             for c, j in zip(nonlinear, map(table.position, nonlinear))
         ])
-        return _flag_spec(args, "quantile", data=pooled)
-    return _flag_spec(args)
+        return make_spec(args.degree, args.knots, "quantile", data=pooled)
+    return make_spec(args.degree, args.knots)
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -220,7 +211,7 @@ def cmd_average(args) -> int:
     table = load_csv(
         args.data, None, response=args.response, missing_token=args.missing_token
     )
-    spec = _flag_spec(args)
+    spec = make_spec(args.degree, args.knots)
     config = _kernel_config(args, seed)
     avg = fit_prime_ma(table, spec, config)
     print(f"candidate weights (complete cases: {avg.n_complete}"

@@ -22,14 +22,19 @@ from __future__ import annotations
 import math
 import warnings
 from collections import Counter
-from collections.abc import Sequence
 from dataclasses import dataclass, field
-from numbers import Real
 
 import numpy as np
 
 from .dataset import ObservationTable
-from .errors import DegenerateColumn, DegenerateSampleWarning, InvalidConfig
+from .errors import (
+    DegenerateColumn,
+    DegenerateSampleWarning,
+    InvalidConfig,
+    _choice,
+    _integer,
+    _reals,
+)
 
 __all__ = [
     "KernelConfig",
@@ -42,6 +47,7 @@ _LOG_2PI = math.log(2.0 * math.pi)
 _UNDERFLOW_LOG = -700.0
 _DIRECTION_TAG = 0x5EEDD12C  # domain separator for per-pattern direction seeds
 _BLOCK_ELEMENTS = 1 << 16  # distances (targets x pattern rows) held by one block
+_DISTRIBUTIONS = ("standard_normal", "scaled_uniform")
 
 
 @dataclass(frozen=True)
@@ -55,8 +61,8 @@ class KernelConfig:
     mean of n_projections univariate kernels along random directions
     whenever a unit observes more than projection_threshold covariates.
     fixed_h (fixed rule only) must be a sequence of finite positive reals (not
-    bools), the counts and seed integers, n_projections >= 1 and seed >= 0;
-    anything else raises InvalidConfig.
+    bools), the counts and seed integers (numpy's included, stored as int),
+    n_projections >= 1 and seed >= 0; anything else raises InvalidConfig.
     """
 
     bandwidth: str = "silverman"
@@ -68,34 +74,21 @@ class KernelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_projections", "projection_threshold", "seed"):
-            if not isinstance(v := getattr(self, name), (int, np.integer)) or isinstance(v, bool):
-                raise InvalidConfig(f"{name} must be an integer, got {v!r}")
-        if self.bandwidth not in ("silverman", "fixed"):
-            raise InvalidConfig(f"unknown bandwidth rule {self.bandwidth!r}")
+        counts = (("n_projections", 1, None), ("projection_threshold", 0, None),
+                  ("seed", 0, "a nonnegative integer"))
+        for name, least, must in counts:
+            value = _integer(name, getattr(self, name), InvalidConfig, least, must)
+            object.__setattr__(self, name, value)
+        _choice("bandwidth rule", self.bandwidth, ("silverman", "fixed"), InvalidConfig)
         if self.bandwidth == "fixed":
-            fixed = self.fixed_h
-            if not isinstance(fixed, (Sequence, np.ndarray)) or isinstance(fixed, (str, bytes)):
-                raise InvalidConfig(f"fixed_h must be a sequence of bandwidths, got {fixed!r}")
-            if len(fixed) == 0:
+            fixed = _reals("fixed_h", self.fixed_h, InvalidConfig, positive=True)
+            if not fixed:
                 raise InvalidConfig("fixed bandwidth rule requires fixed_h")
-            if not all(isinstance(h, Real) and not isinstance(h, bool) for h in fixed):
-                raise InvalidConfig(f"fixed bandwidths must be real numbers, got {fixed!r}")
-            if not all(math.isfinite(h) and h > 0 for h in fixed):
-                raise InvalidConfig(f"fixed bandwidths must be finite and positive, got {fixed}")
-            object.__setattr__(self, "fixed_h", tuple(float(h) for h in fixed))
+            object.__setattr__(self, "fixed_h", fixed)
         elif self.fixed_h is not None:
             raise InvalidConfig(f"fixed_h needs the fixed bandwidth rule, got {self.fixed_h!r}")
-        if self.projection not in ("none", "resampled"):
-            raise InvalidConfig(f"unknown projection mode {self.projection!r}")
-        if self.n_projections < 1:
-            raise InvalidConfig("n_projections must be >= 1")
-        if self.projection_dist not in ("standard_normal", "scaled_uniform"):
-            raise InvalidConfig(f"unknown direction distribution {self.projection_dist!r}")
-        if self.projection_threshold < 0:
-            raise InvalidConfig("projection_threshold must be >= 0")
-        if self.seed < 0:
-            raise InvalidConfig(f"seed must be a nonnegative integer, got {self.seed}")
+        _choice("projection mode", self.projection, ("none", "resampled"), InvalidConfig)
+        _choice("direction distribution", self.projection_dist, _DISTRIBUTIONS, InvalidConfig)
 
 
 @dataclass
@@ -118,15 +111,14 @@ def _sample_sd(values: np.ndarray) -> float:
 
 def draw_directions(m: int, n_projections: int, dist: str, seed) -> np.ndarray:
     """(n_projections, m) random directions with E v = 0 and E v**2 = 1."""
-    if m < 1 or n_projections < 1:
-        raise InvalidConfig("direction counts must be >= 1")
+    m = _integer("m", m, InvalidConfig, 1)
+    n_projections = _integer("n_projections", n_projections, InvalidConfig, 1)
+    _choice("direction distribution", dist, _DISTRIBUTIONS, InvalidConfig)
     rng = np.random.default_rng(seed)
     if dist == "standard_normal":
         return rng.standard_normal((n_projections, m))
-    if dist == "scaled_uniform":
-        # U(-1, 1) has second moment 1/3; rescale so it is exactly 1
-        return rng.uniform(-1.0, 1.0, (n_projections, m)) * math.sqrt(3.0)
-    raise InvalidConfig(f"unknown direction distribution {dist!r}")
+    # U(-1, 1) has second moment 1/3; rescale so it is exactly 1
+    return rng.uniform(-1.0, 1.0, (n_projections, m)) * math.sqrt(3.0)
 
 
 def _projected_sd(proj: np.ndarray, targets: np.ndarray) -> float:

@@ -424,8 +424,6 @@ def _fit_from_payload(payload: dict) -> PrimeFit:
     kernel = dict(payload["kernel"])
     if sorted(kernel) != sorted(f.name for f in fields(KernelConfig)):
         raise ValueError(f"'kernel' keys {sorted(kernel)} are not KernelConfig's fields")
-    if kernel["fixed_h"] is not None:
-        kernel["fixed_h"] = tuple(kernel["fixed_h"])
     raw = payload["diagnostics"]
     imputation = ImputationDiagnostics(*(Counter(raw[name]) for name in _COUNTERS))
     diagnostics = FitDiagnostics(

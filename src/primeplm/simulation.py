@@ -21,7 +21,7 @@ from numbers import Real
 import numpy as np
 
 from .dataset import ModelStructure, ObservationTable
-from .errors import InvalidConfig, PrimeError
+from .errors import InvalidConfig, PrimeError, _choice, _integer, _reals
 from .kernel_impute import KernelConfig
 from .model_averaging import AveragedFit, fit_prime_ma
 from .prime_fit import fit_cc, fit_mean_impute, fit_prime, predict
@@ -65,6 +65,7 @@ _TEST_TAG = 0x7E57
 _CALIBRATION_DRAWS = 100_000
 
 _ALL_METHODS = ("prime", "prime_ma", "cc", "mean_impute")
+_ERROR_MODES = ("homoscedastic", "heteroscedastic")
 
 
 @dataclass(frozen=True)
@@ -80,42 +81,20 @@ class ScenarioConfig:
     mr_params: tuple[float, float, float, float, float] = MR_PARAMS_60
 
     def __post_init__(self):
-        for name in ("n", "n_test", "replications", "seed"):
-            _check_integer(name, getattr(self, name))
-        if self.n < 50:
-            raise InvalidConfig(f"n must be >= 50, got {self.n}")
-        if self.n_test < 1:
-            raise InvalidConfig("n_test must be >= 1")
-        if self.replications < 1:
-            raise InvalidConfig("replications must be >= 1")
-        if self.rho_mode not in _RHO_CODES:
-            raise InvalidConfig(
-                f"rho_mode must be one of {sorted(_RHO_CODES)}, got {self.rho_mode!r}"
-            )
-        if self.error_mode not in ("homoscedastic", "heteroscedastic"):
-            raise InvalidConfig(f"unknown error_mode {self.error_mode!r}")
+        counts = (("n", 50, None), ("n_test", 1, None), ("replications", 1, None),
+                  ("seed", 0, "a nonnegative integer"))
+        for name, least, must in counts:
+            value = _integer(name, getattr(self, name), InvalidConfig, least, must)
+            object.__setattr__(self, name, value)
+        _choice("rho_mode", self.rho_mode, _RHO_CODES, InvalidConfig)
+        _choice("error_mode", self.error_mode, _ERROR_MODES, InvalidConfig)
         if not (isinstance(self.r_squared, Real) and 0.0 < self.r_squared < 1.0):
             raise InvalidConfig(f"r_squared must be a number in (0, 1), got {self.r_squared!r}")
-        if self.missing not in ("scenario1", "scenario2", "none"):
-            raise InvalidConfig(f"unknown missing mode {self.missing!r}")
-        try:
-            params = tuple(float(v) for v in self.mr_params)
-        except (TypeError, ValueError):
-            raise InvalidConfig(f"mr_params must be 5 numbers, got {self.mr_params!r}") from None
-        if len(params) != 5:
-            raise InvalidConfig("mr_params needs exactly 5 values (a, b, c, d, e)")
-        if not all(math.isfinite(v) for v in params):
-            raise InvalidConfig(f"mr_params must all be finite, got {params}")
+        _choice("missing mode", self.missing, ("scenario1", "scenario2", "none"), InvalidConfig)
+        params = _reals("mr_params", self.mr_params, InvalidConfig, size=5)
         if not 0.0 <= params[4] <= 1.0:
             raise InvalidConfig("the constant deletion probability e must be in [0, 1]")
         object.__setattr__(self, "mr_params", params)
-        if self.seed < 0:
-            raise InvalidConfig("seed must be a nonnegative integer")
-
-
-def _check_integer(name: str, value) -> None:
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-        raise InvalidConfig(f"{name} must be an integer, got {value!r}")
 
 
 # Each scenario setting: its scenario-file key, its ScenarioConfig field and
@@ -146,8 +125,7 @@ def _chol(rho_mode: str) -> np.ndarray:
 
 def gen_covariates(n: int, rho_mode: str, rng: np.random.Generator) -> np.ndarray:
     """(n, 8): three U[0,1] columns, five correlated N(1, 1) columns."""
-    if rho_mode not in _RHO_CODES:
-        raise InvalidConfig(f"unknown rho_mode {rho_mode!r}")
+    _choice("rho_mode", rho_mode, _RHO_CODES, InvalidConfig)
     u = rng.uniform(size=(n, 3))
     z = rng.standard_normal((n, 5))
     return np.hstack([u, 1.0 + z @ _chol(rho_mode).T])
@@ -184,10 +162,8 @@ def gen_errors(
     expected_sum_sq: float | None = None,
 ) -> np.ndarray:
     n = x.shape[0]
-    if error_mode == "homoscedastic":
+    if _choice("error_mode", error_mode, _ERROR_MODES, InvalidConfig) == "homoscedastic":
         return rng.standard_normal(n) * math.sqrt(sigma2)
-    if error_mode != "heteroscedastic":
-        raise InvalidConfig(f"unknown error_mode {error_mode!r}")
     if expected_sum_sq is None:
         raise InvalidConfig("heteroscedastic errors need the E(sum x^2) normalizer")
     var_i = sigma2 * (x**2).sum(axis=1) / expected_sum_sq
@@ -414,15 +390,12 @@ def run_study(
     are derived per replication, so any worker count gives identical
     results.
     """
-    methods = tuple(dict.fromkeys(methods))
-    unknown = [m for m in methods if m not in _ALL_METHODS]
-    if unknown:
-        raise InvalidConfig(f"unknown methods: {unknown}")
+    methods = tuple(
+        dict.fromkeys(_choice("method", m, _ALL_METHODS, InvalidConfig) for m in methods)
+    )
     if not methods:
         raise InvalidConfig("no methods requested")
-    _check_integer("workers", workers)
-    if workers < 1:
-        raise InvalidConfig("workers must be >= 1")
+    workers = _integer("workers", workers, InvalidConfig, 1)
     if spec is None:
         spec = make_spec()
 

@@ -12,14 +12,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientData, InvalidDegree, OutOfDomain
+from .errors import InsufficientData, InvalidDegree, OutOfDomain, _choice, _integer, _reals
 
 __all__ = ["SplineSpec", "make_spec", "basis_matrix"]
 
 
 @dataclass(frozen=True)
 class SplineSpec:
-    """Integer degree d >= 1 and interior knots strictly increasing inside (0, 1)."""
+    """Integer degree d >= 1 (numpy's included, stored as int) and finite
+    interior knots strictly increasing inside (0, 1); anything else raises
+    InvalidDegree."""
 
     degree: int
     interior_knots: tuple[float, ...]
@@ -27,16 +29,13 @@ class SplineSpec:
     knot_vector: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self):
-        interior = tuple(float(v) for v in self.interior_knots)
-        if isinstance(self.degree, bool) or not isinstance(self.degree, (int, np.integer)):
-            raise InvalidDegree(f"degree must be an integer, got {self.degree!r}")
-        if self.degree < 1:
-            raise InvalidDegree(f"degree must be >= 1, got {self.degree}")
+        d = _integer("degree", self.degree, InvalidDegree, 1)
+        interior = _reals("interior knots", self.interior_knots, InvalidDegree)
         if not np.all(np.diff([0.0, *interior, 1.0]) > 0.0):
             raise InvalidDegree(
                 f"interior knots must increase strictly inside (0, 1), got {list(interior)}"
             )
-        d = self.degree
+        object.__setattr__(self, "degree", d)
         object.__setattr__(self, "interior_knots", interior)
         object.__setattr__(
             self, "knot_vector", np.concatenate([np.zeros(d + 1), interior, np.ones(d + 1)])
@@ -59,10 +58,8 @@ def make_spec(
     (observed values only, caller's responsibility) and requires enough
     distinct points for the knots to be strictly inside (0, 1).
     """
-    if n_interior < 0:
-        raise InvalidDegree(f"interior knot count must be >= 0, got {n_interior}")
-    if placement not in ("uniform", "quantile"):
-        raise InvalidDegree(f"unknown placement {placement!r}")
+    n_interior = _integer("interior knot count", n_interior, InvalidDegree, 0)
+    _choice("placement", placement, ("uniform", "quantile"), InvalidDegree)
 
     if n_interior == 0:
         interior: tuple[float, ...] = ()

@@ -76,19 +76,26 @@ _NUMERICAL = (
 )
 
 
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
 @pytest.mark.parametrize(
     "error",
-    sorted(errors.PrimeError.__subclasses__(), key=lambda cls: cls.__name__)
+    sorted(_subclasses(errors.PrimeError), key=lambda cls: cls.__name__)
     + [np.linalg.LinAlgError],
     ids=lambda cls: cls.__name__,
 )
 def test_exit_code_per_error_class(monkeypatch, capsys, error):
-    # usage 2, numerical 4, any other package error 3
+    # usage 2 (InvalidConfig and its subclasses), numerical 4, any other
+    # package error 3; the walk covers the whole tree, not only direct children
     def fail(args):
         raise error("boom")
 
     monkeypatch.setattr(cli, "cmd_report", fail)
-    want = 2 if error is errors.InvalidConfig else 4 if error in _NUMERICAL else 3
+    want = 2 if issubclass(error, errors.InvalidConfig) else 4 if error in _NUMERICAL else 3
     assert main(["report", "summary.csv"]) == want
     assert capsys.readouterr().err == "error: boom\n"
 

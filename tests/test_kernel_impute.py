@@ -136,6 +136,14 @@ def test_draw_directions_shapes_and_determinism():
     assert not np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("m, n_projections", [(2.5, 2), (3, True)],
+                         ids=["fractional-size", "bool-count"])
+def test_draw_directions_rejects_bad_arguments(m, n_projections):
+    # each used to escape as a bare TypeError
+    with pytest.raises(InvalidConfig):
+        draw_directions(m, n_projections, "standard_normal", 0)
+
+
 def test_draw_directions_moments():
     z = draw_directions(4, 250_000, "standard_normal", 1).ravel()
     assert abs(z.mean()) < 5e-3

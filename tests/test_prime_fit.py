@@ -391,6 +391,22 @@ def test_save_load_roundtrip(tmp_path):
     assert path.read_bytes() == second.read_bytes()
 
 
+def test_numpy_integer_settings_save_like_python_ints(tmp_path):
+    # numpy integers used to reach save_fit, which raised a bare TypeError
+    # and left a truncated fit file behind
+    table = make_random_table(np.random.default_rng(18), n=60, p=2, q=2, missing_rate=0.2)
+    paths = []
+    for kind in (int, np.int64):
+        spec = make_spec(kind(3), kind(2))
+        config = KernelConfig(projection="resampled", n_projections=kind(1),
+                              projection_threshold=kind(1), seed=kind(3))
+        paths.append(tmp_path / f"{kind.__name__}.fit")
+        save_fit(fit_prime(table, spec, config), paths[-1])
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    back = load_fit(paths[1])
+    assert (back.spec.degree, back.kernel_config.seed) == (3, 3)
+
+
 def test_load_fit_rejects_corrupt(tmp_path):
     rng = np.random.default_rng(19)
     table = make_random_table(rng, n=60, p=2, q=2, missing_rate=0.1)
@@ -414,6 +430,18 @@ def test_load_fit_rejects_corrupt(tmp_path):
     bad.write_text("not json")
     with pytest.raises(BadFitFile):
         load_fit(bad)
+
+
+def test_load_fit_rejects_string_knots(tmp_path):
+    # a knot stored as a string used to be read as a number
+    path = tmp_path / "model.fit"
+    save_fit(fit_prime(make_random_table(np.random.default_rng(19), n=60, p=2, q=2),
+                       make_spec(3, 1)), path)
+    blob = json.loads(path.read_text())
+    blob["spline"]["interior_knots"] = ["0.5"]
+    path.write_text(json.dumps(blob))
+    with pytest.raises(BadFitFile, match="InvalidDegree"):
+        load_fit(path)
 
 
 def test_objective_optimality():

@@ -336,6 +336,24 @@ def test_run_study_workers_must_be_an_integer(workers):
         run_study(small_config(replications=2), methods=("cc",), workers=workers)
 
 
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: small_config(rho_mode=["0.3"]), id="listed-rho_mode"),
+    pytest.param(lambda: gen_covariates(10, ["0.3"], np.random.default_rng(0)),
+                 id="gen_covariates-listed-rho_mode"),
+    pytest.param(lambda: run_study(small_config(replications=1), methods=[["prime"]]),
+                 id="listed-method"),
+    pytest.param(lambda: small_config(mr_params=("0.1", 0.5, 0.1, -1.1, 0.3)),
+                 id="mr_params-string-entry"),
+    pytest.param(lambda: small_config(mr_params=(True, 0.5, 0.1, -1.1, 0.3)),
+                 id="mr_params-bool-entry"),
+])
+def test_bad_study_settings_raise_invalid_config(call):
+    # the first three used to escape as TypeError: unhashable; the last two
+    # were accepted, where fixed_h rejects the same entries
+    with pytest.raises(InvalidConfig):
+        call()
+
+
 def test_scenario_config_integer_fields():
     # a float count used to pass here and end the study in a bare TypeError
     config = small_config(n=np.int64(60), n_test=np.int32(50), replications=np.uint8(1),

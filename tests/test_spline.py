@@ -68,6 +68,21 @@ def test_make_spec_invalid():
             SplineSpec(degree, ())
 
 
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: make_spec(3, 2.5), id="fractional-knot-count"),
+    pytest.param(lambda: make_spec(3, True), id="bool-knot-count"),
+    pytest.param(lambda: make_spec(3, "2"), id="string-knot-count"),
+    pytest.param(lambda: SplineSpec(3, None), id="no-knots"),
+    pytest.param(lambda: SplineSpec(3, (0.5, "a")), id="non-numeric-knot"),
+    pytest.param(lambda: SplineSpec(3, ("0.5",)), id="string-knot"),
+])
+def test_bad_spline_settings_raise_invalid_degree(build):
+    # 2.5 and True used to build 3 and 1 knots; the others escaped as a
+    # bare TypeError or ValueError, or read "0.5" as a number
+    with pytest.raises(InvalidDegree):
+        build()
+
+
 def test_bernstein_values_at_half():
     spec = make_spec()
     assert_allclose(basis_matrix(spec, [0.5])[0], [0.125, 0.375, 0.375, 0.125], atol=1e-15)
