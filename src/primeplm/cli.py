@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
 import sys
 from dataclasses import astuple, fields
@@ -31,7 +30,7 @@ from .errors import (
 )
 from .kernel_impute import KernelConfig
 from .model_averaging import fit_prime_ma
-from .prime_fit import _diagnostics_payload, fit_prime, load_fit, predict, save_fit
+from .prime_fit import _diagnostics_payload, _write_json, fit_prime, load_fit, predict, save_fit
 from .simulation import (
     _ALL_METHODS,
     _SETTINGS,
@@ -77,43 +76,30 @@ def _resolve_seed(seed: int | None) -> int:
     return fresh
 
 
-def _parse_bandwidth(text: str) -> tuple[str, tuple[float, ...] | None]:
-    if text == "silverman":
-        return "silverman", None
-    if text.startswith("fixed:"):
-        try:
-            values = tuple(float(v) for v in text[len("fixed:"):].split(","))
-        except ValueError:
-            raise InvalidConfig(f"cannot parse fixed bandwidths in {text!r}") from None
-        return "fixed", values
-    raise InvalidConfig(f"--bandwidth must be 'silverman' or 'fixed:h1,h2,...', got {text!r}")
-
-
-def _parse_projection(text: str) -> tuple[str, int, str]:
-    if text == "none":
-        return "none", 2, "standard_normal"
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise InvalidConfig(f"--projection must be 'none' or 'B:dist', got {text!r}")
-    try:
-        count = int(parts[0])
-    except ValueError:
-        raise InvalidConfig(f"projection count must be an integer, got {parts[0]!r}") from None
-    return "resampled", count, parts[1]
-
-
 def _kernel_config(args, seed: int) -> KernelConfig:
-    bandwidth, fixed_h = _parse_bandwidth(args.bandwidth)
-    projection, count, dist = _parse_projection(args.projection)
-    return KernelConfig(
-        bandwidth=bandwidth,
-        fixed_h=fixed_h,
-        projection=projection,
-        n_projections=count,
-        projection_dist=dist,
-        projection_threshold=args.projection_threshold,
-        seed=seed,
-    )
+    """The kernel settings the flags name; the rest keep KernelConfig's defaults."""
+    settings = {"projection_threshold": args.projection_threshold, "seed": seed}
+    bandwidth, projection = args.bandwidth, args.projection
+    if bandwidth.startswith("fixed:"):
+        try:
+            settings["fixed_h"] = tuple(float(v) for v in bandwidth[len("fixed:"):].split(","))
+        except ValueError:
+            raise InvalidConfig(f"cannot parse fixed bandwidths in {bandwidth!r}") from None
+        settings["bandwidth"] = "fixed"
+    elif bandwidth != "silverman":
+        raise InvalidConfig(
+            f"--bandwidth must be 'silverman' or 'fixed:h1,h2,...', got {bandwidth!r}"
+        )
+    if projection != "none":
+        parts = projection.split(":")
+        if len(parts) != 2:
+            raise InvalidConfig(f"--projection must be 'none' or 'B:dist', got {projection!r}")
+        try:
+            settings["n_projections"] = int(parts[0])
+        except ValueError:
+            raise InvalidConfig(f"projection count must be an integer, got {parts[0]!r}") from None
+        settings.update(projection="resampled", projection_dist=parts[1])
+    return KernelConfig(**settings)
 
 
 def _spline_spec(args, table):
@@ -127,12 +113,6 @@ def _spline_spec(args, table):
         ])
         return make_spec(args.degree, args.knots, "quantile", data=pooled)
     return make_spec(args.degree, args.knots)
-
-
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
 
 
 def _cell(value) -> str:

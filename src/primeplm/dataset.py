@@ -304,7 +304,7 @@ def _loadtxt(fh, dtype, converters) -> tuple[np.ndarray, bool]:
 
 def _read_columns(fh, path, header, columns, optional, missing_token, missing_error):
     """Values and observed mask of ``columns``, in that order, from the rows
-    after the header.
+    after the header; each column must be in the header exactly once.
 
     A column flagged in ``optional`` may hold missing cells; a missing cell
     anywhere else raises ``missing_error(location)``.  When some column is
@@ -316,6 +316,9 @@ def _read_columns(fh, path, header, columns, optional, missing_token, missing_er
     or leaves a doubt it cannot settle, the file is read again with
     csv.reader to raise the first bad row or cell at its line.
     """
+    absent = [c for c in columns if c not in header]
+    if absent:
+        raise StructureMismatch(f"{path}: columns missing from header: {absent}")
     for c in columns:
         if header.count(c) > 1:
             raise MalformedCsv(f"{path}:1: column {c!r} is repeated in the header")
@@ -376,9 +379,6 @@ def load_csv(
                 raise StructureMismatch(f"{path}: no covariate columns besides the response")
             structure = ModelStructure(nonlinear=(), linear=covariates)
         wanted = structure.nonlinear + structure.linear
-        absent = [c for c in wanted if c not in header]
-        if absent:
-            raise StructureMismatch(f"{path}: columns missing from header: {absent}")
         if response in wanted:
             raise StructureMismatch(f"{path}: response {response!r} also listed as covariate")
         values, observed = _read_columns(
@@ -406,9 +406,6 @@ def load_rows(
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = _read_header(fh, path)
-        absent = [c for c in columns if c not in header]
-        if absent:
-            raise StructureMismatch(f"{path}: columns missing from header: {absent}")
         values, _ = _read_columns(
             fh, path, header, tuple(columns), (False,) * len(columns), missing_token,
             lambda where: IncompleteRow(f"{where}: missing covariate value"),

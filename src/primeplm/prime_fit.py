@@ -194,17 +194,6 @@ def solve_least_squares(
     return coef
 
 
-def _fit_pipeline(
-    table: ObservationTable,
-    spec: SplineSpec,
-    config: KernelConfig,
-) -> PrimeFit:
-    nmap = _observed_ranges(table, table.structure.nonlinear)
-    design = assemble_design(table, build_pattern_index(table), spec, config, nmap)
-    n_complete = int(complete_case_subset(table).size)
-    return _solve(table, table.structure, spec, config, nmap, design, n_complete)
-
-
 def _solve(table, structure, spec, config, nmap, design, n_complete) -> PrimeFit:
     """Least squares of ``table``'s response on ``design``, read back as the
     fit of ``structure`` over ``table``'s columns."""
@@ -244,7 +233,11 @@ def fit_prime(
     config: KernelConfig | None = None,
 ) -> PrimeFit:
     """Fit on all rows, imputing missing covariates from partial donors."""
-    return _fit_pipeline(table, spec or make_spec(), config or KernelConfig())
+    spec, config = spec or make_spec(), config or KernelConfig()
+    nmap = _observed_ranges(table, table.structure.nonlinear)
+    design = assemble_design(table, build_pattern_index(table), spec, config, nmap)
+    n_complete = int(complete_case_subset(table).size)
+    return _solve(table, table.structure, spec, config, nmap, design, n_complete)
 
 
 def fit_cc(
@@ -252,7 +245,7 @@ def fit_cc(
     spec: SplineSpec | None = None,
     config: KernelConfig | None = None,
 ) -> PrimeFit:
-    """Fit on the complete-case rows only (identical downstream pipeline)."""
+    """``fit_prime`` on the complete-case rows."""
     spec = spec or make_spec()
     rows = complete_case_subset(table)
     ncols = 1 + table.structure.p * spec.basis_size + table.structure.q
@@ -263,7 +256,7 @@ def fit_cc(
     subset = ObservationTable(
         table.y[rows], table.x[rows], table.mask[rows], table.columns, table.structure
     )
-    return _fit_pipeline(subset, spec, config or KernelConfig())
+    return fit_prime(subset, spec, config)
 
 
 def fit_mean_impute(
@@ -271,7 +264,8 @@ def fit_mean_impute(
     spec: SplineSpec | None = None,
     config: KernelConfig | None = None,
 ) -> PrimeFit:
-    """Comparator: replace each missing cell by its observed column mean."""
+    """``fit_prime`` on the mean-filled table: each missing cell replaced by its
+    observed column mean."""
     x = np.array(table.x)
     for pos in range(len(table.columns)):
         observed = table.mask[:, pos]
@@ -283,7 +277,7 @@ def fit_mean_impute(
     filled = ObservationTable(
         table.y, x, np.ones_like(table.mask, dtype=bool), table.columns, table.structure
     )
-    return _fit_pipeline(filled, spec or make_spec(), config or KernelConfig())
+    return fit_prime(filled, spec, config)
 
 
 def predict(fit: PrimeFit, rows: np.ndarray) -> np.ndarray:
@@ -364,10 +358,17 @@ def _fit_payload(fit: PrimeFit) -> dict:
     }
 
 
-def save_fit(fit: PrimeFit, path: str | os.PathLike) -> None:
+def _write_json(path: str | os.PathLike, payload: dict) -> None:
+    """``payload`` as indented JSON: the package's one JSON writer.  The text
+    is built in full before the file is opened, so a value JSON cannot hold
+    raises with no file written or truncated."""
+    text = json.dumps(payload, indent=2) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_fit_payload(fit), fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
+
+
+def save_fit(fit: PrimeFit, path: str | os.PathLike) -> None:
+    _write_json(path, _fit_payload(fit))
 
 
 def load_fit(path: str | os.PathLike) -> PrimeFit:

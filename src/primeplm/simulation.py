@@ -90,6 +90,7 @@ class ScenarioConfig:
         _choice("error_mode", self.error_mode, _ERROR_MODES, InvalidConfig)
         if not (isinstance(self.r_squared, Real) and 0.0 < self.r_squared < 1.0):
             raise InvalidConfig(f"r_squared must be a number in (0, 1), got {self.r_squared!r}")
+        object.__setattr__(self, "r_squared", float(self.r_squared))
         _choice("missing mode", self.missing, ("scenario1", "scenario2", "none"), InvalidConfig)
         params = _reals("mr_params", self.mr_params, InvalidConfig, size=5)
         if not 0.0 <= params[4] <= 1.0:
@@ -125,6 +126,7 @@ def _chol(rho_mode: str) -> np.ndarray:
 
 def gen_covariates(n: int, rho_mode: str, rng: np.random.Generator) -> np.ndarray:
     """(n, 8): three U[0,1] columns, five correlated N(1, 1) columns."""
+    n = _integer("n", n, InvalidConfig, 0)
     _choice("rho_mode", rho_mode, _RHO_CODES, InvalidConfig)
     u = rng.uniform(size=(n, 3))
     z = rng.standard_normal((n, 5))
@@ -146,7 +148,7 @@ def true_mean(x: np.ndarray) -> np.ndarray | float:
 
 def sigma_for_r2(mu_samples: np.ndarray, r_squared: float) -> float:
     """Error variance making the population R^2 equal the target."""
-    if not 0.0 < r_squared < 1.0:
+    if not (isinstance(r_squared, Real) and 0.0 < r_squared < 1.0):
         raise InvalidConfig("r_squared must lie strictly between 0 and 1")
     var_mu = float(np.var(np.asarray(mu_samples, dtype=float), ddof=1))
     if var_mu <= 0.0:
@@ -390,6 +392,8 @@ def run_study(
     are derived per replication, so any worker count gives identical
     results.
     """
+    if isinstance(methods, str) or not hasattr(methods, "__iter__"):
+        raise InvalidConfig(f"methods must be a sequence of method names, got {methods!r}")
     methods = tuple(
         dict.fromkeys(_choice("method", m, _ALL_METHODS, InvalidConfig) for m in methods)
     )

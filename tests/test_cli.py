@@ -412,6 +412,7 @@ KERNEL = {
     {"curve_coefs": [[float("inf")] + [0.0] * 5]},
     {"linear_coefs": [1.0, float("-inf")]},
     {"centering_means": [[0.0] * 5 + [float("nan")]]},
+    {"columns": ["u1", "w1", "zz"]},
 ], ids=[
     "one-value-range", "empty-range", "reversed-range", "nan-range",
     "no-range", "range-for-linear-column",
@@ -422,6 +423,7 @@ KERNEL = {
     "fractional-threshold", "string-projection-count",
     "kernel-key-missing", "kernel-key-extra",
     "nan-intercept", "infinite-curve-coef", "infinite-linear-coef", "nan-centering-mean",
+    "columns-off-structure",
 ])
 def test_predict_rejects_malformed_fit_file(tmp_path, capsys, edit):
     # two interior knots keep the coefficient shapes valid after the edits
@@ -845,6 +847,20 @@ def test_report_rejects_malformed_summary_row(study_prefix, tmp_path, capsys, co
     assert main(["report", str(bad), "--out", str(tmp_path / "t.md")]) == 3
     assert f"{bad}:3:" in capsys.readouterr().err
     assert not (tmp_path / "t.md").exists()
+
+
+def test_report_rejects_empty_and_header_only_summaries(tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    assert main(["report", str(empty)]) == 3
+    assert capsys.readouterr().err == f"error: {empty}: empty file\n"
+    heads = []
+    for name in ("a.csv", "b.csv"):
+        heads.append(tmp_path / name)
+        with open(heads[-1], "w", newline="") as fh:
+            csv.writer(fh).writerow(SUMMARY_HEADER)
+    assert main(["report", *map(str, heads)]) == 3
+    assert capsys.readouterr().err == "error: summary files contain no rows\n"
 
 
 def test_report_missing_file(tmp_path, capsys):

@@ -84,6 +84,9 @@ FIT_ERRORS = [
     ("bad-before-blank", [HEADER, "0.5,x,1.0,3.0", ""], MalformedCsv,
      ":2: cannot parse numeric cell 'x'"),
     ("header-only", [HEADER], MalformedCsv, ": no data rows"),
+    # a hole in a covariate that may miss is passed over on the way to the bad cell
+    ("hole-before-bad-cell", [HEADER, "1.5,NA,2.0,-1.0", "0.5,oops,1.0,3.0"], MalformedCsv,
+     ":3: cannot parse numeric cell 'oops'"),
 ]
 
 

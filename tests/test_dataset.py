@@ -57,6 +57,17 @@ def test_table_validation():
         ObservationTable(y, bad, mask, ("a", "b"), s)
 
 
+@pytest.mark.parametrize("columns, text", [
+    (("a",), "column name count does not match x width"),
+    (("a", "c"), "structure does not partition the columns (undeclared: ['c'], unknown: ['b'])"),
+], ids=["count-mismatch", "undeclared-column"])
+def test_table_columns_must_match_x_and_structure(columns, text):
+    s = ModelStructure(nonlinear=("a",), linear=("b",))
+    with pytest.raises(StructureMismatch) as err:
+        ObservationTable(np.zeros(3), np.zeros((3, 2)), np.ones((3, 2), dtype=bool), columns, s)
+    assert str(err.value) == text
+
+
 def test_table_arrays_frozen(pattern_table):
     with pytest.raises(ValueError):
         pattern_table.y[0] = 7.0
@@ -287,6 +298,23 @@ def test_csv_errors(tmp_path):
         load_csv(f, s)
 
 
+def test_csv_structure_errors(tmp_path):
+    f = tmp_path / "bad.csv"
+    f.write_text("y,a,b\n1.0,2.0,3.0\n")
+    with pytest.raises(StructureMismatch) as err:
+        load_csv(f, ModelStructure(nonlinear=("a",), linear=("b", "y")))
+    assert str(err.value) == f"{f}: response 'y' also listed as covariate"
+    # the response check runs before the header check of the covariates
+    with pytest.raises(StructureMismatch) as err:
+        load_csv(f, ModelStructure(nonlinear=("a",), linear=("y", "zz")))
+    assert str(err.value) == f"{f}: response 'y' also listed as covariate"
+
+    f.write_text("y\n1.0\n")
+    with pytest.raises(StructureMismatch) as err:
+        load_csv(f, None)
+    assert str(err.value) == f"{f}: no covariate columns besides the response"
+
+
 def test_csv_drop_missing_response(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("y,a,b\n1.0,0.1,2.0\nNA,0.2,3.0\n4.0,0.3,5.0\n")
@@ -311,6 +339,12 @@ def test_load_structure_sidecar(tmp_path):
     path.write_text("nonlinear = a\nlinear = b\n")
     with pytest.raises(StructureMismatch):
         load_structure(path)
+
+
+def test_structure_without_nonlinear_key_is_all_linear(tmp_path):
+    path = tmp_path / "m.structure"
+    path.write_text("response = y\nlinear = a, b\n")
+    assert load_structure(path) == (ModelStructure(nonlinear=(), linear=("a", "b")), "y")
 
 
 def test_make_fixtures_rebuilds_the_committed_csvs(tmp_path):

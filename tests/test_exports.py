@@ -1,6 +1,7 @@
-"""The package's public names: every entry of an ``__all__`` resolves, and
-importing the package stays light."""
+"""The package's public names: every entry of an ``__all__`` resolves,
+importing the package stays light, and JSON is written in one place."""
 
+import ast
 import importlib
 import os
 import pathlib
@@ -88,3 +89,40 @@ def test_import_loads_no_heavy_scipy_module():
     # simulated missingness loads scipy.special for ndtr, and nothing spatial
     assert "scipy.special" in drawn.split()
     assert [m for m in drawn.split() if m.startswith("scipy.spatial")] == []
+
+
+class _JsonCalls(ast.NodeVisitor):
+    """The enclosing ``module.function`` of every json.dump/json.dumps call,
+    and of every import of those names from json."""
+
+    def __init__(self, module):
+        self.scope, self.found = [module], []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Call(self, node):
+        f = node.func
+        if (isinstance(f, ast.Attribute) and f.attr in ("dump", "dumps")
+                and isinstance(f.value, ast.Name) and f.value.id == "json"):
+            self.found.append(".".join(self.scope))
+        self.generic_visit(node)
+
+    def visit_ImportFrom(self, node):
+        if node.module == "json" and {a.name for a in node.names} & {"dump", "dumps"}:
+            self.found.append(".".join(self.scope))
+
+
+def test_json_is_written_by_one_function():
+    # _write_json builds the whole text before it opens the file, so a value
+    # JSON cannot hold leaves no partial file; a second writer might not
+    found = []
+    for path in sorted(pathlib.Path(primeplm.__file__).parent.glob("*.py")):
+        visitor = _JsonCalls(path.stem)
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+        found += visitor.found
+    assert found == ["prime_fit._write_json"]

@@ -337,6 +337,11 @@ def test_projection_requires_fewer_directions_than_coords():
         imputed_columns(table, pattern, config)
 
 
+def test_fixed_rule_needs_a_bandwidth():
+    with pytest.raises(InvalidConfig, match="fixed bandwidth rule requires fixed_h"):
+        KernelConfig(bandwidth="fixed", fixed_h=())
+
+
 def test_kernel_config_validation():
     with pytest.raises(InvalidConfig):
         KernelConfig(bandwidth="magic")

@@ -106,6 +106,22 @@ def test_cc_design_uses_complete_rows_only():
     assert np.array_equal(G.view(np.uint64), want.view(np.uint64))
 
 
+def test_candidate_constant_on_complete_cases_is_degenerate():
+    rng = np.random.default_rng(2)
+    x = rng.uniform(0, 1, (40, 3))
+    x[:30, 0] = 0.5  # varies only on the rows that miss c2
+    mask = np.ones(x.shape, dtype=bool)
+    mask[30:, 2] = False
+    table = ObservationTable(
+        y=rng.normal(size=40), x=x, mask=mask, columns=("c0", "c1", "c2"),
+        structure=ModelStructure(nonlinear=("c0",), linear=("c1", "c2")),
+    )
+    with pytest.raises(DegenerateColumn, match="'c0' is constant on the complete cases"):
+        fit_prime_ma(table)
+    with pytest.raises(InsufficientCompleteCases, match="no complete rows"):
+        cc_design(table, build_candidates(table.columns)[0], make_spec(), np.arange(0))
+
+
 def test_residuals_and_leverages_from_one_qr():
     rng = np.random.default_rng(8)
     G, y = rng.normal(size=(50, 5)), rng.normal(size=50)

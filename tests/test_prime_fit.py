@@ -23,6 +23,7 @@ from primeplm import (
 )
 from primeplm.errors import (
     BadFitFile,
+    DegenerateColumn,
     IncompleteRow,
     InsufficientCompleteCases,
     LengthMismatch,
@@ -317,6 +318,12 @@ def test_estimate_g_centered_and_named():
         estimate_g(fit, "w9", train_vals)
 
 
+def test_estimate_g_index_out_of_range():
+    fit = fit_prime(complete_table(np.random.default_rng(15)))
+    with pytest.raises(UnknownColumn, match="index 5 out of range"):
+        estimate_g(fit, 5, np.linspace(0.0, 1.0, 3))
+
+
 def test_estimate_g_recovers_sine():
     rng = np.random.default_rng(16)
     n = 2000
@@ -354,6 +361,20 @@ def test_underdetermined_full_fit():
     table = make_random_table(rng, n=8, p=2, q=1, missing_rate=0.0)
     with pytest.raises(Underdetermined):
         fit_prime(table)
+
+
+@pytest.mark.parametrize("fitter, text", [
+    (fit_prime, "column 'c3' is never observed; nothing to impute"),
+    (fit_mean_impute, "column 'c3' is never observed; no mean to impute"),
+], ids=["prime", "mean_impute"])
+def test_never_observed_column_is_degenerate(fitter, text):
+    table = make_random_table(np.random.default_rng(21), n=30, p=2, q=2, missing_rate=0.0)
+    mask = np.array(table.mask)
+    mask[:, 3] = False
+    table = ObservationTable(table.y, table.x, mask, table.columns, table.structure)
+    with pytest.raises(DegenerateColumn) as err:
+        fitter(table)
+    assert str(err.value) == text
 
 
 def test_mean_impute_equals_prime_on_prefilled():
@@ -405,6 +426,20 @@ def test_numpy_integer_settings_save_like_python_ints(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
     back = load_fit(paths[1])
     assert (back.spec.degree, back.kernel_config.seed) == (3, 3)
+
+
+def test_save_fit_failure_leaves_no_partial_file(tmp_path):
+    # save_fit used to stream into the file, so a value json cannot hold
+    # left a truncated fit file behind
+    fit = fit_prime(make_random_table(np.random.default_rng(18), n=60, p=2, q=2))
+    fit.diagnostics.n_rows = np.int64(3)
+    existing = tmp_path / "old.fit"
+    existing.write_bytes(b"earlier contents\n")
+    for path in (existing, tmp_path / "new.fit"):
+        with pytest.raises(TypeError):
+            save_fit(fit, path)
+    assert existing.read_bytes() == b"earlier contents\n"
+    assert not (tmp_path / "new.fit").exists()
 
 
 def test_load_fit_rejects_corrupt(tmp_path):

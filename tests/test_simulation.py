@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -346,12 +347,40 @@ def test_run_study_workers_must_be_an_integer(workers):
                  id="mr_params-string-entry"),
     pytest.param(lambda: small_config(mr_params=(True, 0.5, 0.1, -1.1, 0.3)),
                  id="mr_params-bool-entry"),
+    pytest.param(lambda: sigma_for_r2(np.arange(5.0), "0.5"), id="sigma_for_r2-str-r_squared"),
+    pytest.param(lambda: sigma_for_r2(np.arange(5.0), 1.5), id="sigma_for_r2-r_squared-above-1"),
+    pytest.param(lambda: sigma_for_r2(np.full(5, 2.0), 0.5), id="sigma_for_r2-constant-mu"),
+    pytest.param(lambda: gen_covariates(2.5, "0.3", np.random.default_rng(0)),
+                 id="gen_covariates-fractional-n"),
+    pytest.param(lambda: gen_covariates(-1, "0.3", np.random.default_rng(0)),
+                 id="gen_covariates-negative-n"),
+    pytest.param(lambda: run_study(small_config(replications=1), methods=None),
+                 id="no-method-sequence"),
 ])
 def test_bad_study_settings_raise_invalid_config(call):
-    # the first three used to escape as TypeError: unhashable; the last two
-    # were accepted, where fixed_h rejects the same entries
+    # the first three used to escape as TypeError: unhashable; the next two
+    # were accepted, where fixed_h rejects the same entries; the string
+    # r_squared, the gen_covariates sizes and a missing method list escaped
+    # as a bare TypeError or ValueError
     with pytest.raises(InvalidConfig):
         call()
+
+
+def test_run_study_rejects_a_bare_method_string():
+    # a string used to be read as its characters: "unknown method 'p'"
+    with pytest.raises(InvalidConfig, match="methods must be a sequence of method names"):
+        run_study(small_config(replications=1), methods="prime")
+
+
+def test_numpy_r_squared_is_stored_as_float():
+    # an np.float32 used to be stored as given, which json cannot write
+    config = small_config(r_squared=np.float32(0.7))
+    assert type(config.r_squared) is float
+    assert json.loads(json.dumps(dataclasses.asdict(config)))["r_squared"] == config.r_squared
+
+
+def test_gen_covariates_empty_draw():
+    assert gen_covariates(0, "0.3", np.random.default_rng(0)).shape == (0, 8)
 
 
 def test_scenario_config_integer_fields():

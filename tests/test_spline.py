@@ -55,6 +55,11 @@ def test_make_spec_quantile():
         make_spec(3, 3, placement="quantile", data=np.full(50, 0.5))
 
 
+def test_make_spec_quantile_needs_enough_points():
+    with pytest.raises(InsufficientData, match="need at least 6 observations for 4"):
+        make_spec(3, 4, "quantile", data=[0.2, 0.3])
+
+
 def test_make_spec_invalid():
     with pytest.raises(InvalidDegree):
         make_spec(0, 0)
