@@ -13,7 +13,7 @@ def read_kv_file(path: str | os.PathLike, error: type[Exception]) -> dict[str, s
     """The file's assignments; a malformed file raises ``error`` naming its
     path and, for a bad line, the line number."""
     out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             lines = fh.readlines()
         except UnicodeDecodeError as err:

@@ -369,7 +369,7 @@ def load_csv(
     nor declared in the structure are ignored.  Without a structure, every
     column besides the response is a linear covariate.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         header = _read_header(fh, path)
         if response not in header:
             raise MissingResponse(f"{path}: response column {response!r} not in header")
@@ -404,7 +404,7 @@ def load_rows(
 
     Every cell of those columns must be observed; other columns are ignored.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         header = _read_header(fh, path)
         values, _ = _read_columns(
             fh, path, header, tuple(columns), (False,) * len(columns), missing_token,

@@ -8,13 +8,14 @@ component, so an imputed row still sums to one.
 
 A target's distance to a row depends only on the columns its pattern
 observes, not on the missing column being filled, so ``impute`` makes one
-pass per incomplete pattern: it scales the pattern's coordinates once, then
-for each chunk of targets computes one block of squared distances against
-every row observing those columns.  Each missing column takes its
-log-weights from that block as a C-contiguous copy of its donors' columns,
-no larger than the block, and applies the normalized weights to every array
-of the column.  A chunk holds at most ``_BLOCK_ELEMENTS`` (2**16, 512 KB)
-distances at any n.
+pass per incomplete pattern: it reads the pattern's rows and each missing
+column's donors from one bit code per row of the mask, and scales the
+pattern's coordinates once; then for each chunk of targets it computes one
+block of squared distances against every row observing those columns.  Each
+missing column takes its log-weights from that block as a C-contiguous copy
+of its donors' columns, no larger than the block, and applies the normalized
+weights to every array of the column.  A chunk holds at most
+``_BLOCK_ELEMENTS`` (2**16, 512 KB) distances at any n.
 """
 
 from __future__ import annotations
@@ -197,8 +198,10 @@ def _kernel(table, config, xt, cond, rows, targets, column_h, diag) -> tuple[np.
                 column_h[c] = _silverman(sd, table.n, name, what, diag)
         scale = np.array([column_h[c] for c in cond.tolist()])
         const = -float((0.5 * _LOG_2PI + np.log(scale)).sum())
-    u = (z - z.mean(axis=1, keepdims=True)) / (scale[:, None] * math.sqrt(2.0))
-    return np.ascontiguousarray(u.T), const
+    # np.mean's sum over each contiguous row, then its division by the count
+    z -= np.add.reduce(z, axis=1, keepdims=True) / z.shape[1]
+    z /= (scale * math.sqrt(2.0))[:, None]
+    return np.ascontiguousarray(z.T), const
 
 
 def impute(
@@ -241,24 +244,30 @@ def impute(
             raise DegenerateColumn(
                 f"column {table.columns[j]!r} is never observed; nothing to impute"
             )
-    fallback = {j: [out[mask[:, j]].mean(axis=0) for out in arrays[j]] for j in arrays}
-    # column-major copies: a pattern's rows are gathered from contiguous runs
+    fallback = {j: [np.compress(mask[:, j], out, axis=0).mean(axis=0) for out in arrays[j]]
+                for j in arrays}
+    # column-major copy: a pattern's rows are gathered from contiguous runs
     xt = np.ascontiguousarray(table.x.T)
-    observed = np.ascontiguousarray(mask.T)
+    # one code per row: bit j % 8 of its byte j // 8 is set where it observes column j
+    codes = np.ascontiguousarray(np.packbits(mask, axis=1, bitorder="little").T)
     column_h = {}
     for targets in incomplete:
         seen = mask[targets[0]]
-        missing = [j for j in np.flatnonzero(~seen) if j in arrays]
+        missing = [j for j in (~seen).nonzero()[0].tolist() if j in arrays]
         if not missing:
             continue
-        cond = np.flatnonzero(seen)
+        cond = seen.nonzero()[0]
         # rows observing every column of cond, targets included
-        rows = np.flatnonzero(np.logical_and.reduce(observed[cond], axis=0))
-        donors = {}  # column -> (donor positions among rows, donor rows)
+        need = codes[:, targets[0], None]
+        rows = np.logical_and.reduce((codes & need) == need, axis=0).nonzero()[0]
+        code_rows = codes.take(rows, axis=1)
+        donors = {}  # column -> (donor positions among rows, each array's donor rows)
         for j in missing:
-            d = np.flatnonzero(observed[j, rows])
+            # column j's bit of each row as a byte 0 or 1, read as a boolean
+            d = ((code_rows[j >> 3] >> (j & 7)) & 1).view(bool).nonzero()[0]
             if d.size:
-                donors[j] = d, rows[d]
+                rows_d = rows.take(d)
+                donors[j] = d, [out.take(rows_d, axis=0) for out in arrays[j]]
                 continue
             for out, mean in zip(arrays[j], fallback[j]):
                 out[targets] = mean
@@ -271,21 +280,25 @@ def impute(
         for start in range(0, targets.size, step):
             chunk = targets[start : start + step]
             # each pair is its own sum, so chunking never changes a value
-            block = cdist(u[at[start : start + step]], u, "sqeuclidean")
-            for j, (d, rows_d) in donors.items():
-                # np.take keeps C order, so the row sums match a block of
-                # the donors alone bit for bit; block[:, d] would be F order
-                w = np.take(block, d, axis=1)
+            block = cdist(u.take(at[start : start + step], axis=0), u, "sqeuclidean")
+            for j, (d, donor_rows) in donors.items():
+                # take keeps C order, so the row sums match a block of the
+                # donors alone bit for bit; block[:, d] would be F order
+                w = block.take(d, axis=1)
                 low = w.min(axis=1)
-                kept = const - low >= _UNDERFLOW_LOG
-                if not kept.all():
-                    w, low = w[kept], low[kept]
-                    diag.underflow_fallbacks[table.columns[j]] += chunk.size - w.shape[0]
+                kept = chunk
+                # const - low is least at the largest low: one test per chunk
+                if not const - low.max() >= _UNDERFLOW_LOG:
+                    ok = const - low >= _UNDERFLOW_LOG
+                    w, low, kept = w[ok], low[ok], chunk[ok]
+                    diag.underflow_fallbacks[table.columns[j]] += chunk.size - kept.size
+                    for out, mean in zip(arrays[j], fallback[j]):
+                        out[chunk[~ok]] = mean
                 np.subtract(low[:, None], w, out=w)
                 np.exp(w, out=w)
-                total = w.sum(axis=1)[:, None]
-                for out, mean in zip(arrays[j], fallback[j]):
+                total = np.add.reduce(w, axis=1, keepdims=True)
+                for out, x_d in zip(arrays[j], donor_rows):
                     # one product per target row, so chunking never changes a value
-                    out[chunk[kept]] = np.matmul(w[:, None, :], out[rows_d])[:, 0, :] / total
-                    out[chunk[~kept]] = mean
+                    avg = np.matmul(w[:, None, :], x_d)[:, 0, :]
+                    out[kept] = np.divide(avg, total, out=avg)
     return diag

@@ -125,9 +125,10 @@ def _designs(
             basis[pos] = basis_matrix(spec, z)
             means[pos] = basis[pos].mean(axis=0)
             continue
-        z = normalization.apply(table.columns[pos], table.x[observed, pos], clamp=False)
+        rows = observed.nonzero()[0]
+        z = normalization.apply(table.columns[pos], table.x[:, pos].take(rows), clamp=False)
         basis[pos] = np.zeros((table.n, L))
-        basis[pos][observed] = observed_basis = basis_matrix(spec, z)
+        basis[pos][rows] = observed_basis = basis_matrix(spec, z)
         means[pos] = observed_basis.mean(axis=0)
     for pos in dict.fromkeys(chain.from_iterable(linear)):
         values[pos] = np.array(table.x[:, pos : pos + 1])

@@ -228,3 +228,59 @@ def test_predict_extra_columns_quotes_and_whitespace(tmp_path, capsys, fit_file,
     assert rc == 0
     rows = np.array([[0.25, 2.0, -1.0], [0.75, 1.0, 3.0], [0.5, -0.5, 0.0]])
     assert_array_equal(preds, predict(load_fit(fit_file), rows))
+
+
+# -- a byte-order mark ---------------------------------------------------------------
+# a spreadsheet's "CSV UTF-8" starts the file with U+FEFF; the header is read without it
+
+BOM = "\ufeff"
+
+
+def with_bom(tmp_path, source, name):
+    path = tmp_path / name
+    path.write_bytes((BOM + pathlib.Path(source).read_text(encoding="utf-8")).encode())
+    return str(path)
+
+
+def test_fit_and_predict_skip_a_byte_order_mark(tmp_path, capsys, fit_file):
+    plain, marked = str(DATA / "toy.csv"), with_bom(tmp_path, DATA / "toy.csv", "toy.csv")
+    assert pathlib.Path(marked).read_bytes().startswith(b"\xef\xbb\xbfy,")
+    want, got = load_csv(plain, STRUCTURE), load_csv(marked, STRUCTURE)
+    assert_array_equal(got.y, want.y)
+    assert_array_equal(got.x, want.x)
+    assert_array_equal(load_rows(marked, ("u1", "w2")), load_rows(plain, ("u1", "w2")))
+    out = str(tmp_path / "model.json")
+    rc = main(["fit", "--data", marked, "--structure", STRUCTURE_FILE, "--fit-out", out,
+               "--seed", "5"])
+    assert (rc, capsys.readouterr().err) == (0, "")
+    assert pathlib.Path(out).read_bytes() == pathlib.Path(fit_file).read_bytes()
+    rc, _, preds = run_predict(fit_file, marked, capsys)
+    assert rc == 0
+    assert_array_equal(preds, predict(load_fit(fit_file), want.x))
+
+
+def test_structure_file_skips_a_byte_order_mark(tmp_path, capsys, fit_file):
+    structure = with_bom(tmp_path, STRUCTURE_FILE, "structure.txt")
+    out = str(tmp_path / "model.json")
+    rc = main(["fit", "--data", str(DATA / "toy.csv"), "--structure", structure,
+               "--fit-out", out, "--seed", "5"])
+    assert (rc, capsys.readouterr().err) == (0, "")
+    assert pathlib.Path(out).read_bytes() == pathlib.Path(fit_file).read_bytes()
+
+
+def test_file_with_holes_skips_a_byte_order_mark_on_every_pass(tmp_path, capsys):
+    # holes fail np.loadtxt's first pass, so the header is read again after a seek
+    plain = str(DATA / "toy_missing.csv")
+    marked = with_bom(tmp_path, plain, "toy_missing.csv")
+    want, got = load_csv(plain, STRUCTURE), load_csv(marked, STRUCTURE)
+    assert not want.mask.all()
+    assert_array_equal(got.mask, want.mask)
+    assert_array_equal(got.x[got.mask], want.x[want.mask])
+    assert_array_equal(got.y, want.y)
+    # a bad cell after a hole is found by the csv pass, at its line
+    path = write(tmp_path, [BOM + HEADER, "1.5,NA,2.0,-1.0", R2, "0.5,oops,1.0,3.0"])
+    text = ":4: cannot parse numeric cell 'oops'"
+    with pytest.raises(MalformedCsv) as err:
+        load_csv(path, STRUCTURE)
+    assert str(err.value) == path + text
+    assert run_fit(path, capsys) == (3, f"error: {path}{text}\n")

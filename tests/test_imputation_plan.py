@@ -358,6 +358,64 @@ def test_impute_matches_per_column_loop_bit_for_bit(monkeypatch, config, block, 
         assert want.imputation == got.imputation
 
 
+def two_arrays_per_column(table):
+    """Each column's (basis rows, values), the two arrays fit_prime_ma hands
+    impute for a column that is nonlinear in one candidate and linear in
+    another; missing rows hold zeros and NaN until they are filled."""
+    arrays = {}
+    for j in range(len(table.columns)):
+        seen = table.mask[:, j]
+        v = table.x[seen, j]
+        basis = np.zeros((table.n, SPEC.basis_size))
+        basis[seen] = basis_matrix(SPEC, (v - v.min()) / np.ptp(v))
+        arrays[j] = (basis, np.array(table.x[:, j : j + 1]))
+    return arrays
+
+
+def impute_matches_per_column_loop(table, config):
+    """impute and the per-(pattern, column) loop fill every array of
+    two_arrays_per_column bit for bit and count the same fallbacks; the
+    fallback counts are returned."""
+    pattern = build_pattern_index(table)
+    want, got = two_arrays_per_column(table), two_arrays_per_column(table)
+    diag = per_column_impute(table, pattern, config, want)
+    assert impute(table, pattern, config, got) == diag
+    for j in want:
+        for a, b in zip(want[j], got[j]):
+            assert np.array_equal(a, b)
+    return diag
+
+
+@pytest.mark.parametrize("config", [
+    KernelConfig(seed=3),
+    KernelConfig(projection="resampled", n_projections=2, projection_threshold=2, seed=9),
+], ids=["product", "resampled"])
+@pytest.mark.parametrize("block", [None, 1000], ids=["default", "1000"])
+def test_many_pattern_impute_matches_per_column_loop_bit_for_bit(monkeypatch, config, block):
+    # shaped like the impute_arbitrary bench table: each cell missing with
+    # p=0.2, so most patterns are rare and hold a few targets each
+    table = make_random_table(np.random.default_rng(41), n=1500, p=3, q=5, missing_rate=0.2)
+    assert len(build_pattern_index(table)) >= 100
+    assert abs((~table.mask).mean() - 0.2) < 0.01
+    if block is not None:
+        monkeypatch.setattr(kernel_impute, "_BLOCK_ELEMENTS", block)
+    impute_matches_per_column_loop(table, config)
+
+
+def test_wide_table_impute_matches_per_column_loop_bit_for_bit():
+    # 70 columns: a row's code spans nine bytes, more than one 64-bit word;
+    # the last column is observed only where the first is missing, so every
+    # pattern observing the first has no donor for the last
+    wide = make_random_table(np.random.default_rng(5), n=400, p=2, q=68, missing_rate=0.03)
+    mask = wide.mask.copy()
+    mask[:, 69] &= ~mask[:, 0]
+    table = ObservationTable(y=wide.y, x=np.where(mask, wide.x, np.nan), mask=mask,
+                             columns=wide.columns, structure=wide.structure)
+    diag = impute_matches_per_column_loop(table, KernelConfig())
+    assert diag.no_donor_fallbacks["c69"] > 0
+    assert sum(diag.underflow_fallbacks.values()) > 0
+
+
 class CdistCalls(list):
     """The shapes of the distance blocks impute asks scipy for."""
 
